@@ -44,9 +44,7 @@ use omega_accel::{
 use omega_genome::sites::write_sites;
 use omega_genome::Alignment;
 use omega_obs::JsonObject;
-use omega_serve::http::{
-    write_chunked_response, write_response, HttpConn, HttpError, Request, CHUNKED_THRESHOLD_BYTES,
-};
+use omega_serve::http::{serve_connection, Request, Response};
 use omega_serve::job::{make_backend, result_json, timing_json, ScanRequest};
 use omega_serve::parse_scan_request;
 
@@ -115,23 +113,6 @@ struct Shared {
     /// Coordinator-local response-id ticket (`c<n>`), purely
     /// informational — the value is the entire message.
     next: AtomicU64,
-}
-
-struct Response {
-    status: u16,
-    reason: &'static str,
-    headers: Vec<(&'static str, String)>,
-    body: String,
-}
-
-impl Response {
-    fn json(status: u16, reason: &'static str, body: String) -> Response {
-        Response { status, reason, headers: Vec::new(), body }
-    }
-
-    fn error(status: u16, reason: &'static str, message: &str) -> Response {
-        Response::json(status, reason, JsonObject::new().string("error", message).finish())
-    }
 }
 
 /// One shard's worth of scatter work for one replicate.
@@ -339,10 +320,8 @@ fn handle_scan(shared: &Shared, http_request: &Request) -> Response {
             .u64("retry_after_secs", retry)
             .finish();
         return Response {
-            status: 429,
-            reason: "Too Many Requests",
             headers: vec![("Retry-After", retry.to_string())],
-            body,
+            ..Response::json(429, "Too Many Requests", body)
         };
     }
     let mut successes: Vec<Option<crate::dispatch::ShardSuccess>> =
@@ -486,63 +465,6 @@ fn route(shared: &Shared, request: &Request) -> Response {
     }
 }
 
-fn handle_connection(shared: &Shared, stream: TcpStream) {
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(10)));
-    let _ = stream.set_nodelay(true);
-    let mut conn = HttpConn::new(stream);
-    loop {
-        match conn.read_request(shared.config.max_body_bytes) {
-            Ok(Some(request)) => {
-                let keep_alive = request.keep_alive && !shared.shutting_down.load(Ordering::SeqCst);
-                let response = route(shared, &request);
-                let use_chunked = request.http11 && response.body.len() >= CHUNKED_THRESHOLD_BYTES;
-                let written = if use_chunked {
-                    write_chunked_response(
-                        conn.stream_mut(),
-                        response.status,
-                        response.reason,
-                        "application/json",
-                        &response.headers,
-                        &response.body,
-                        keep_alive,
-                    )
-                } else {
-                    write_response(
-                        conn.stream_mut(),
-                        response.status,
-                        response.reason,
-                        "application/json",
-                        &response.headers,
-                        &response.body,
-                        keep_alive,
-                    )
-                };
-                if written.is_err() || !keep_alive {
-                    return;
-                }
-            }
-            Ok(None) => return,
-            Err(e @ HttpError::Io(_)) => {
-                let _ = e;
-                return;
-            }
-            Err(e) => {
-                let (status, reason) = e.status();
-                let _ = write_response(
-                    conn.stream_mut(),
-                    status,
-                    reason,
-                    "application/json",
-                    &[],
-                    &JsonObject::new().string("error", &e.detail()).finish(),
-                    false,
-                );
-                return;
-            }
-        }
-    }
-}
-
 /// A running coordinator.
 pub struct ClusterHandle {
     addr: SocketAddr,
@@ -628,7 +550,14 @@ pub fn start(config: ClusterConfig) -> io::Result<ClusterHandle> {
                         let shared = Arc::clone(&acceptor_shared);
                         let spawned = std::thread::Builder::new()
                             .name("cluster-conn".to_string())
-                            .spawn(move || handle_connection(&shared, stream));
+                            .spawn(move || {
+                                serve_connection(
+                                    stream,
+                                    shared.config.max_body_bytes,
+                                    &shared.shutting_down,
+                                    |request| route(&shared, request),
+                                )
+                            });
                         if spawned.is_err() {
                             continue;
                         }

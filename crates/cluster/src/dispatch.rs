@@ -18,8 +18,8 @@ use std::time::{Duration, Instant};
 use omega_accel::DetectionOutcome;
 use omega_core::ScanStats;
 use omega_obs::JsonValue;
+use omega_serve::http::HttpClient;
 
-use crate::client::WorkerClient;
 use crate::ring::HashRing;
 
 /// One worker endpoint and its tracked state.
@@ -33,7 +33,7 @@ pub struct Worker {
     /// Worker identity from `/healthz` (`-worker-id`), once probed.
     pub id: Mutex<String>,
     /// Pooled keep-alive client.
-    pub client: WorkerClient,
+    pub client: HttpClient,
 }
 
 /// Why a shard could not be completed anywhere.
@@ -78,7 +78,8 @@ impl WorkerPool {
         let workers = addrs
             .into_iter()
             .map(|addr| Worker {
-                client: WorkerClient::new(addr.clone(), io_timeout),
+                client: HttpClient::new(addr.clone(), io_timeout)
+                    .count_stale_retries(omega_obs::counter!("cluster.conn_retries")),
                 addr,
                 healthy: AtomicBool::new(true),
                 id: Mutex::new(String::new()),
@@ -184,7 +185,7 @@ fn try_worker(
     body: &str,
     timeout: Duration,
 ) -> Result<(DetectionOutcome, bool), Attempt> {
-    let response = worker.client.post("/scan", body).map_err(Attempt::Failed)?;
+    let response = worker.client.post("/scan", body).map_err(|e| Attempt::Failed(e.detail()))?;
     match response.status {
         200 => {
             // Completed inline (result-cache hit on the worker).
@@ -215,7 +216,7 @@ fn poll_job(
     let deadline = Instant::now() + timeout;
     let path = format!("/jobs/{job}");
     loop {
-        let response = worker.client.get(&path).map_err(Attempt::Failed)?;
+        let response = worker.client.get(&path).map_err(|e| Attempt::Failed(e.detail()))?;
         if response.status != 200 {
             return Err(Attempt::Failed(format!("poll status {}", response.status)));
         }

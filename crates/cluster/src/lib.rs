@@ -15,16 +15,18 @@
 //! * **Failover** ([`dispatch`]) — `/healthz` probing plus in-band
 //!   failure detection; a dead worker's shards re-dispatch to the ring
 //!   successor mid-scan without changing a byte of the merged report.
+//!   Workers are reached through `omega_serve::http::HttpClient`, so
+//!   their responses pass the daemon's own framing checks, and a worker
+//!   that stalls past the IO timeout fails once instead of being
+//!   re-sent the request.
 //! * **Admission propagation** — when every worker sheds a shard with
 //!   429, the coordinator answers 429 with the smallest `Retry-After`
 //!   it observed.
 
-pub mod client;
 pub mod coordinator;
 pub mod dispatch;
 pub mod ring;
 
-pub use client::{ClientResponse, WorkerClient};
 pub use coordinator::{register_instruments, start, ClusterConfig, ClusterHandle};
 pub use dispatch::{outcome_from_job_json, ShardError, ShardSuccess, Worker, WorkerPool};
 pub use ring::{affinity_key, HashRing};

@@ -5,7 +5,8 @@
 
 use std::time::Duration;
 
-use omega_cluster::{affinity_key, ClusterConfig, HashRing, WorkerClient};
+use omega_cluster::{affinity_key, ClusterConfig, HashRing};
+use omega_serve::http::HttpClient;
 use omega_serve::{ServeConfig, ServeHandle};
 
 /// Deterministic ms payload: `n_reps` replicates of `n_sites` LCG-fair
@@ -67,8 +68,8 @@ fn boot_coordinator(workers: Vec<String>, shard_timeout_ms: u64) -> omega_cluste
     .expect("coordinator boots")
 }
 
-fn client(addr: std::net::SocketAddr) -> WorkerClient {
-    WorkerClient::new(addr.to_string(), Duration::from_secs(10))
+fn client(addr: std::net::SocketAddr) -> HttpClient {
+    HttpClient::new(addr.to_string(), Duration::from_secs(10))
 }
 
 /// Extracts the raw bytes of a top-level object member (`"key":{...}`),

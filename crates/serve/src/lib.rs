@@ -26,9 +26,15 @@
 //! Networking is a deliberately small hand-rolled HTTP/1.1 layer
 //! ([`http`]) over `std::net` — the workspace's offline vendor policy
 //! means no async runtime and no HTTP dependency, and the daemon's
-//! request shapes don't need one. Everything observable flows through
-//! `omega-obs` instruments (all registered in
-//! `omega_obs::names::INSTRUMENTS`) and is exported by `GET /stats`.
+//! request shapes don't need one. It is the workspace's only HTTP code:
+//! one framing core (bounded heads, the duplicate-`Content-Length`
+//! check, `Connection` token rules) under a server half — the
+//! connection loop this daemon and the cluster coordinator both run —
+//! and a client half, the pooled keep-alive [`http::HttpClient`] that
+//! re-sends only on a connection the peer closed while it idled.
+//! Everything observable flows through `omega-obs` instruments (all
+//! registered in `omega_obs::names::INSTRUMENTS`) and is exported by
+//! `GET /stats`.
 //!
 //! Boot it from the CLI (`omegaplus serve`) or embed it:
 //!

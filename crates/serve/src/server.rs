@@ -33,9 +33,7 @@ use std::time::{Duration, Instant};
 use omega_obs::{JsonObject, RequestTrace, TraceContext};
 
 use crate::cache::{CacheKey, ResultCache};
-use crate::http::{
-    write_chunked_response, write_response, HttpConn, HttpError, Request, CHUNKED_THRESHOLD_BYTES,
-};
+use crate::http::{error_body, serve_connection, Request, Response};
 use crate::job::{job_json, parse_scan_request, BackendKind, JobId, JobLookup, JobState, JobTable};
 use crate::job::{DEFAULT_RETAIN_FOR, DEFAULT_RETAIN_TERMINAL};
 use crate::queue::{Lanes, Submission, SubmitError};
@@ -219,29 +217,6 @@ fn stats_json(shared: &Shared) -> String {
         .finish()
 }
 
-fn error_body(message: &str) -> String {
-    JsonObject::new().string("error", message).finish()
-}
-
-/// One routed response, ready to serialise.
-struct Response {
-    status: u16,
-    reason: &'static str,
-    content_type: &'static str,
-    headers: Vec<(&'static str, String)>,
-    body: String,
-}
-
-impl Response {
-    fn json(status: u16, reason: &'static str, body: String) -> Response {
-        Response { status, reason, content_type: "application/json", headers: Vec::new(), body }
-    }
-
-    fn not_found(message: &str) -> Response {
-        Response::json(404, "Not Found", error_body(message))
-    }
-}
-
 /// Renders `/healthz`: liveness plus uptime, build identity, and the
 /// current per-lane queue depths.
 fn healthz_json(shared: &Shared) -> String {
@@ -288,11 +263,8 @@ fn route(shared: &Shared, request: &Request) -> Response {
         ("GET", "/healthz") => Response::json(200, "OK", healthz_json(shared)),
         ("GET", "/stats") => Response::json(200, "OK", stats_json(shared)),
         ("GET", "/metrics") => Response {
-            status: 200,
-            reason: "OK",
             content_type: "text/plain; version=0.0.4",
-            headers: Vec::new(),
-            body: omega_obs::render_prometheus(&omega_obs::snapshot()),
+            ..Response::json(200, "OK", omega_obs::render_prometheus(&omega_obs::snapshot()))
         },
         ("GET", "/traces") => Response::json(200, "OK", traces_index_json()),
         ("POST", "/scan") => handle_scan(shared, request),
@@ -301,7 +273,7 @@ fn route(shared: &Shared, request: &Request) -> Response {
             match u64::from_str_radix(id_text, 16).ok().and_then(|id| omega_obs::recorder().get(id))
             {
                 Some(trace) => Response::json(200, "OK", trace.json()),
-                None => Response::not_found(&format!("no trace {id_text:?}")),
+                None => Response::error(404, "Not Found", &format!("no trace {id_text:?}")),
             }
         }
         ("GET", path) if path.starts_with("/jobs/") => {
@@ -311,31 +283,31 @@ fn route(shared: &Shared, request: &Request) -> Response {
                     JobLookup::Found(record) => Response::json(200, "OK", job_json(id, &record)),
                     // The id was real but its record aged out of bounded
                     // retention: "polled too late", not "never existed".
-                    JobLookup::Evicted => Response::json(
+                    JobLookup::Evicted => Response::error(
                         410,
                         "Gone",
-                        error_body(&format!("job {id_text} has been evicted from retention")),
+                        &format!("job {id_text} has been evicted from retention"),
                     ),
-                    JobLookup::Unknown => Response::not_found(&format!("no job {id_text:?}")),
+                    JobLookup::Unknown => {
+                        Response::error(404, "Not Found", &format!("no job {id_text:?}"))
+                    }
                 },
-                None => Response::not_found(&format!("no job {id_text:?}")),
+                None => Response::error(404, "Not Found", &format!("no job {id_text:?}")),
             }
         }
-        ("POST" | "GET", _) => Response::not_found("unknown path"),
-        _ => {
-            Response::json(405, "Method Not Allowed", error_body("only GET and POST are supported"))
-        }
+        ("POST" | "GET", _) => Response::error(404, "Not Found", "unknown path"),
+        _ => Response::error(405, "Method Not Allowed", "only GET and POST are supported"),
     }
 }
 
 fn handle_scan(shared: &Shared, http_request: &Request) -> Response {
     let text = match std::str::from_utf8(&http_request.body) {
         Ok(t) => t,
-        Err(_) => return Response::json(400, "Bad Request", error_body("body is not UTF-8")),
+        Err(_) => return Response::error(400, "Bad Request", "body is not UTF-8"),
     };
     let request = match parse_scan_request(text) {
         Ok(r) => r,
-        Err(e) => return Response::json(400, "Bad Request", error_body(&e.to_string())),
+        Err(e) => return Response::error(400, "Bad Request", &e.to_string()),
     };
 
     // Tracing is opt-in: any X-Omega-Trace header (or trace_all) starts
@@ -432,88 +404,23 @@ fn handle_scan(shared: &Shared, http_request: &Request) -> Response {
             }
             Response {
                 headers: trace_headers(&trace),
-                ..Response::json(503, "Service Unavailable", error_body("daemon is draining"))
+                ..Response::error(503, "Service Unavailable", "daemon is draining")
             }
         }
     }
 }
 
-/// Serves one connection until the peer closes, asks to close, a
-/// request errors, or the daemon shuts down. HTTP/1.1 requests keep the
-/// connection alive between requests (loadgen's replay phase reuses one
-/// connection per client, which is where the per-request TCP handshake
-/// used to dominate). Large bodies stream out chunked.
+/// Serves one connection through the shared loop, counting every
+/// request after a connection's first as a keep-alive reuse.
 fn handle_connection(shared: &Shared, stream: TcpStream) {
-    // A stalled peer must not pin a handler thread forever; on an idle
-    // keep-alive connection the timeout reads as a clean close.
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(10)));
-    // Nagle + delayed ACK stalls keep-alive round-trips by ~40 ms when
-    // a response crosses two writes (head, then body).
-    let _ = stream.set_nodelay(true);
-    let mut conn = HttpConn::new(stream);
     let mut served: u64 = 0;
-    loop {
-        let request = {
-            let _span = omega_obs::span!("serve.request");
-            conn.read_request(shared.config.max_body_bytes)
-        };
-        match request {
-            Ok(Some(request)) => {
-                if served > 0 {
-                    omega_obs::counter!("serve.http_conn_reuses").inc();
-                }
-                served += 1;
-                let keep_alive = request.keep_alive && !shared.shutting_down.load(Ordering::SeqCst);
-                let response = route(shared, &request);
-                let use_chunked = request.http11 && response.body.len() >= CHUNKED_THRESHOLD_BYTES;
-                let written = if use_chunked {
-                    write_chunked_response(
-                        conn.stream_mut(),
-                        response.status,
-                        response.reason,
-                        response.content_type,
-                        &response.headers,
-                        &response.body,
-                        keep_alive,
-                    )
-                } else {
-                    write_response(
-                        conn.stream_mut(),
-                        response.status,
-                        response.reason,
-                        response.content_type,
-                        &response.headers,
-                        &response.body,
-                        keep_alive,
-                    )
-                };
-                if written.is_err() || !keep_alive {
-                    return;
-                }
-            }
-            Ok(None) => return,
-            Err(e @ HttpError::Io(_)) => {
-                // Socket already broken; nothing useful to write.
-                let _ = e;
-                return;
-            }
-            Err(e) => {
-                // Parse errors poison the framing (we cannot know where
-                // the next request starts), so the connection closes.
-                let (status, reason) = e.status();
-                let _ = write_response(
-                    conn.stream_mut(),
-                    status,
-                    reason,
-                    "application/json",
-                    &[],
-                    &error_body(&e.detail()),
-                    false,
-                );
-                return;
-            }
+    serve_connection(stream, shared.config.max_body_bytes, &shared.shutting_down, |request| {
+        if served > 0 {
+            omega_obs::counter!("serve.http_conn_reuses").inc();
         }
-    }
+        served += 1;
+        route(shared, request)
+    });
 }
 
 /// A running daemon. Dropping the handle does *not* stop the daemon;

@@ -2,9 +2,11 @@
 
 #![allow(dead_code)]
 
-use std::io::{Read, Write};
+use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
+
+use omega_serve::http::read_response;
 
 /// One raw round-trip on a fresh connection: returns (status, full
 /// header block, body). The server holds HTTP/1.1 connections open for
@@ -17,68 +19,12 @@ pub fn raw(addr: SocketAddr, request: &[u8]) -> (u16, String, String) {
     read_framed(&mut stream)
 }
 
-/// Reads one framed response off `stream`; the connection stays usable
-/// afterwards if the server kept it alive.
+/// Reads one framed response off `stream` with the daemon's own
+/// client-side parser; the connection stays usable afterwards if the
+/// server kept it alive.
 pub fn read_framed(stream: &mut TcpStream) -> (u16, String, String) {
-    let mut buf: Vec<u8> = Vec::with_capacity(4096);
-    let mut tmp = [0u8; 4096];
-    let mut fill = |buf: &mut Vec<u8>, stream: &mut TcpStream| {
-        let n = stream.read(&mut tmp).expect("read");
-        assert!(n > 0, "connection closed mid-response: {:?}", String::from_utf8_lossy(buf));
-        buf.extend_from_slice(&tmp[..n]);
-    };
-    let head_end = loop {
-        if let Some(at) = buf.windows(4).position(|w| w == b"\r\n\r\n") {
-            break at + 4;
-        }
-        fill(&mut buf, stream);
-    };
-    let head = String::from_utf8_lossy(&buf[..head_end - 4]).to_string();
-    let status = head.split_whitespace().nth(1).and_then(|s| s.parse().ok()).unwrap_or(0);
-    let mut content_length = 0usize;
-    let mut chunked = false;
-    for line in head.lines().skip(1) {
-        let Some((name, value)) = line.split_once(':') else { continue };
-        match name.trim().to_ascii_lowercase().as_str() {
-            "content-length" => content_length = value.trim().parse().unwrap_or(0),
-            "transfer-encoding" => chunked = value.trim().eq_ignore_ascii_case("chunked"),
-            _ => {}
-        }
-    }
-    let mut rest = buf.split_off(head_end);
-    let body = if chunked {
-        let mut decoded = Vec::new();
-        loop {
-            let line_end = loop {
-                if let Some(at) = rest.windows(2).position(|w| w == b"\r\n") {
-                    break at;
-                }
-                fill(&mut rest, stream);
-            };
-            let size = usize::from_str_radix(String::from_utf8_lossy(&rest[..line_end]).trim(), 16)
-                .expect("chunk size parses");
-            rest.drain(..line_end + 2);
-            if size == 0 {
-                while rest.len() < 2 {
-                    fill(&mut rest, stream);
-                }
-                break;
-            }
-            while rest.len() < size + 2 {
-                fill(&mut rest, stream);
-            }
-            decoded.extend_from_slice(&rest[..size]);
-            rest.drain(..size + 2);
-        }
-        decoded
-    } else {
-        while rest.len() < content_length {
-            fill(&mut rest, stream);
-        }
-        rest.truncate(content_length);
-        rest
-    };
-    (status, head, String::from_utf8_lossy(&body).to_string())
+    let response = read_response(stream).expect("framed response");
+    (response.status, response.head, response.body)
 }
 
 pub fn get(addr: SocketAddr, path: &str) -> (u16, String, String) {

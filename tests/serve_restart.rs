@@ -3,11 +3,13 @@
 //! finished results must come back byte-identical from the store, and
 //! repeats must be warm-cache hits.
 
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::path::Path;
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
+
+use omega_serve::http::read_response;
 
 struct Daemon {
     child: Child,
@@ -40,8 +42,7 @@ fn spawn_daemon(data_dir: &Path) -> Daemon {
     Daemon { child, addr }
 }
 
-/// One `Connection: close` round-trip; small responses always carry
-/// `Content-Length`, so EOF delimits the body.
+/// One `Connection: close` round-trip.
 fn http(addr: &str, request: &str) -> (u16, String) {
     let deadline = Instant::now() + Duration::from_secs(10);
     let mut stream = loop {
@@ -54,12 +55,8 @@ fn http(addr: &str, request: &str) -> (u16, String) {
         }
     };
     stream.write_all(request.as_bytes()).expect("write request");
-    let mut buf = Vec::new();
-    stream.read_to_end(&mut buf).expect("read response");
-    let text = String::from_utf8_lossy(&buf).to_string();
-    let status = text.split_whitespace().nth(1).and_then(|s| s.parse().ok()).unwrap_or(0);
-    let body = text.find("\r\n\r\n").map(|at| text[at + 4..].to_string()).unwrap_or_default();
-    (status, body)
+    let response = read_response(&mut stream).expect("read response");
+    (response.status, response.body)
 }
 
 fn get(addr: &str, path: &str) -> (u16, String) {
