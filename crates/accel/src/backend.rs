@@ -19,11 +19,13 @@ use std::time::Instant;
 
 use omega_core::{
     BorderSet, GridPlan, MatrixBuildTiming, OmegaKernel, ParamError, PositionResult, RegionMatrix,
-    ScanParams, ScanStats, TaskView,
+    ScanParams, ScanStats, Seconds, TaskView,
 };
-use omega_fpga_sim::{FpgaDevice, FpgaOmegaEngine, StreamOverlap};
+use omega_fpga_sim::{FpgaDevice, FpgaOmegaEngine, FpgaRun, StreamOverlap};
 use omega_genome::Alignment;
-use omega_gpu_sim::{GpuDevice, GpuLd, GpuOmegaEngine, OverlapMode, TaskDims, TransferPipeline};
+use omega_gpu_sim::{
+    GpuCost, GpuDevice, GpuLd, GpuOmegaEngine, KernelRun, OverlapMode, TaskDims, TransferPipeline,
+};
 
 /// Bozikas et al. (FPL 2017) FPGA LD throughput model: the multi-FPGA LD
 /// accelerator streams sample data, so its score rate is inversely
@@ -31,6 +33,89 @@ use omega_gpu_sim::{GpuDevice, GpuLd, GpuOmegaEngine, OverlapMode, TaskDims, Tra
 /// Table III FPGA LD column (e.g. 535 M scores/s at 500 samples,
 /// 38.2 M scores/s at 7000 samples, 4.5 M scores/s at 60,000 samples).
 pub const FPGA_LD_SAMPLE_SCORES_PER_SEC: f64 = 2.675e11;
+
+/// The device models of one accelerator lane.
+#[derive(Debug, Clone)]
+pub(crate) enum DeviceModel {
+    /// GEMM LD update plus the dynamic two-kernel ω dispatch.
+    Gpu { ld: GpuLd, omega: GpuOmegaEngine },
+    /// Bozikas et al. LD throughput plus the ω pipeline cycle budget.
+    Fpga(FpgaOmegaEngine),
+}
+
+/// One scorable position's modelled cost on one lane.
+#[derive(Debug, Clone)]
+pub(crate) enum PositionCost {
+    /// `ld` prices an update of `ld_pairs` r² values.
+    Gpu { ld_pairs: u64, ld: GpuCost, omega: KernelRun },
+    /// `ld` is the streamed LD time.
+    Fpga { ld: Seconds, omega: FpgaRun },
+}
+
+impl PositionCost {
+    /// Modelled (LD, ω) seconds.
+    pub(crate) fn seconds(&self) -> (f64, f64) {
+        match self {
+            PositionCost::Gpu { ld, omega, .. } => (ld.total().get(), omega.cost.total().get()),
+            PositionCost::Fpga { ld, omega } => (ld.get(), omega.seconds.get()),
+        }
+    }
+}
+
+impl DeviceModel {
+    /// The GPU lane's models on `device`.
+    pub(crate) fn gpu(device: GpuDevice) -> Self {
+        DeviceModel::Gpu { ld: GpuLd::new(device.clone()), omega: GpuOmegaEngine::new(device) }
+    }
+
+    /// The models of an accelerator backend; `None` for the CPU.
+    pub(crate) fn of(backend: &Backend) -> Option<Self> {
+        match backend {
+            Backend::Cpu => None,
+            Backend::Gpu(d) => Some(DeviceModel::gpu(d.clone())),
+            Backend::Fpga(d) => Some(DeviceModel::Fpga(FpgaOmegaEngine::new(d.clone()))),
+        }
+    }
+
+    /// Prices one scorable position — window `width` SNPs wide, borders
+    /// `b` — whose matrix advance computed `new_pairs` fresh r² values
+    /// over `n_samples` samples: the one per-position pricing rule
+    /// [`SweepDetector`] charges and [`crate::CostPredictor`] replays. The
+    /// GPU always launches an LD update (at least one pair), ships at most
+    /// one SNP per pair and prices ω from the border counts; the FPGA
+    /// streams every fresh pair's samples at
+    /// [`FPGA_LD_SAMPLE_SCORES_PER_SEC`] and budgets ω from the valid
+    /// right-border trip count of each left border. Records nothing.
+    pub(crate) fn price(
+        &self,
+        width: usize,
+        b: &BorderSet,
+        new_pairs: u64,
+        n_samples: u64,
+    ) -> PositionCost {
+        let n_rb = b.right_borders.len() as u64;
+        match self {
+            DeviceModel::Gpu { ld, omega } => {
+                let pairs = new_pairs.max(1);
+                let transferred = (width as u64).min(pairs);
+                let dims = TaskDims {
+                    n_lb: b.left_borders.len() as u64,
+                    n_rb,
+                    n_valid: b.n_combinations(),
+                };
+                PositionCost::Gpu {
+                    ld_pairs: pairs,
+                    ld: ld.estimate_update(pairs, transferred, n_samples),
+                    omega: omega.estimate_dynamic(&dims),
+                }
+            }
+            DeviceModel::Fpga(engine) => PositionCost::Fpga {
+                ld: Seconds(new_pairs as f64 * n_samples as f64 / FPGA_LD_SAMPLE_SCORES_PER_SEC),
+                omega: engine.estimate(b.first_valid_rb.iter().map(|&f| n_rb - u64::from(f))),
+            },
+        }
+    }
+}
 
 /// Which platform executes the two hot stages.
 #[derive(Debug, Clone)]
@@ -205,18 +290,7 @@ impl SweepDetector {
         omega_obs::gauge!("accel.grid_positions").set(plan.len() as i64);
         let n_samples = alignment.n_samples() as u64;
 
-        let gpu_omega = match &self.backend {
-            Backend::Gpu(d) => Some(GpuOmegaEngine::new(d.clone())),
-            _ => None,
-        };
-        let gpu_ld = match &self.backend {
-            Backend::Gpu(d) => Some(GpuLd::new(d.clone())),
-            _ => None,
-        };
-        let fpga = match &self.backend {
-            Backend::Fpga(d) => Some(FpgaOmegaEngine::new(d.clone())),
-            _ => None,
-        };
+        let model = DeviceModel::of(&self.backend);
 
         let mut matrix = RegionMatrix::new();
         let mut kernel = OmegaKernel::new();
@@ -242,23 +316,6 @@ impl SweepDetector {
                     stats.r2_pairs += mstats.new_pairs;
                     stats.cells_reused += mstats.reused_cells;
 
-                    // Accelerator LD cost for this position's update.
-                    let mut fpga_ld_seconds = 0.0f64;
-                    if let Some(ld) = &gpu_ld {
-                        let new_rows = pp.width() as u64;
-                        let transferred = new_rows.min(mstats.new_pairs.max(1));
-                        let cost =
-                            ld.estimate_update(mstats.new_pairs.max(1), transferred, n_samples);
-                        accel_ld_seconds += cost.total().get();
-                        transfer_seconds += cost.transfer_total().get();
-                        gpu_pipeline.push(&cost);
-                    }
-                    if fpga.is_some() {
-                        fpga_ld_seconds = mstats.new_pairs as f64 * n_samples as f64
-                            / FPGA_LD_SAMPLE_SCORES_PER_SEC;
-                        accel_ld_seconds += fpga_ld_seconds;
-                    }
-
                     // ω stage: functional result measured on the CPU;
                     // accelerator time modelled from the workload shape.
                     let t0 = Instant::now();
@@ -267,25 +324,28 @@ impl SweepDetector {
                         kernel.run(&TaskView::new(&matrix, &b, pp)).expect("non-empty border set");
                     cpu_omega_seconds += t0.elapsed().as_secs_f64();
 
-                    if let Some(engine) = &gpu_omega {
-                        let dims = TaskDims {
-                            n_lb: b.left_borders.len() as u64,
-                            n_rb: b.right_borders.len() as u64,
-                            n_valid: b.n_combinations(),
-                        };
-                        let cost = engine.estimate_dynamic(&dims).cost;
-                        accel_omega_seconds += cost.total().get();
-                        transfer_seconds += cost.transfer_total().get();
-                        gpu_pipeline.push(&cost);
-                    }
-                    if let Some(engine) = &fpga {
-                        let n_rb = b.right_borders.len() as u64;
-                        let est =
-                            engine.estimate(b.first_valid_rb.iter().map(|&f| n_rb - u64::from(f)));
-                        accel_omega_seconds += est.seconds.get();
-                        fpga_stream.push(omega_core::Seconds(fpga_ld_seconds), est.seconds);
-                        // Host-side task packing overhead stays on the CPU.
-                        host_other += 2e-6;
+                    if let Some(model) = &model {
+                        let cost = model.price(pp.width(), &b, mstats.new_pairs, n_samples);
+                        let (ld_seconds, omega_seconds) = cost.seconds();
+                        accel_ld_seconds += ld_seconds;
+                        accel_omega_seconds += omega_seconds;
+                        // Executed work is recorded here, never when pricing.
+                        match &cost {
+                            PositionCost::Gpu { ld_pairs, ld, omega } => {
+                                GpuLd::record(*ld_pairs, ld);
+                                GpuOmegaEngine::record(omega);
+                                for c in [ld, &omega.cost] {
+                                    transfer_seconds += c.transfer_total().get();
+                                    gpu_pipeline.push(c);
+                                }
+                            }
+                            PositionCost::Fpga { ld, omega } => {
+                                FpgaOmegaEngine::record(omega);
+                                fpga_stream.push(*ld, omega.seconds);
+                                // Host-side task packing overhead stays on the CPU.
+                                host_other += 2e-6;
+                            }
+                        }
                     }
 
                     stats.scorable_positions += 1;

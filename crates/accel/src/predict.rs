@@ -3,41 +3,45 @@
 //!
 //! [`CostPredictor::predict`] reconstructs a job's workload *shape* —
 //! per-position border counts, valid-combination counts, and the exact
-//! fresh-r²-pair totals the matrix relocation would leave behind —
-//! without touching sample data, then prices that shape on every
-//! backend:
+//! fresh-r²-pair count of each matrix step ([`omega_core::window_step`],
+//! the rule `RegionMatrix::advance` itself follows) — without touching
+//! sample data, then prices that shape on every backend:
 //!
 //! * **CPU** — the measured [`Calibration`] record (ns/ω-score and
 //!   ns/r²-pair from `bench_omega`, shipped in `BENCH_omega.json`);
 //! * **GPU** — the gpu-sim cost model (GEMM LD update plus the dynamic
-//!   two-kernel ω dispatch), via its metric-free estimators;
+//!   two-kernel ω dispatch);
 //! * **FPGA** — the fpga-sim pipeline cycle model plus the Bozikas
 //!   et al. LD throughput constant.
 //!
-//! The replayed accounting is the same sequence of model calls
-//! `SweepDetector::detect` makes for the accelerator backends
-//! (serialized schedule), so the prediction for a lane equals the
-//! modelled `ld_seconds + omega_seconds` that lane would report — the
-//! quantity that actually differs between backends. Host-side work
+//! Both accelerator lanes are priced by the one per-position pricing
+//! function `SweepDetector::detect` charges (serialized schedule), and
+//! LD and ω seconds are summed separately in the detector's order, so
+//! the prediction for a lane equals the modelled
+//! `ld_seconds + omega_seconds` that lane would report, bit for bit —
+//! the quantity that actually differs between backends. Host-side work
 //! (matrix DP, planning, packing) is backend-independent and cancels
 //! out of the comparison, so it is deliberately left out.
 //!
-//! The shape pass parallelizes over grid positions with rayon; the
-//! model evaluations are memoized on their integer inputs, because
-//! neighbouring grid positions usually share a workload shape. A
-//! prediction consult records nothing in the observability registry —
-//! counters describe executed work, and the consult executes none.
+//! The shape pass (border sets) parallelizes over grid positions with
+//! rayon; the walk that prices them is sequential, because each step's
+//! fresh-pair count depends on the previous scorable window. Every
+//! position is priced directly: neighbouring positions rarely share a
+//! shape, so a per-shape memo never paid for its lookups. A prediction
+//! consult records nothing in the observability registry — the
+//! simulators' cost functions are pure, and only the detector records
+//! the work it executes.
 
-use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::OnceLock;
 
-use omega_core::{total_order_key_f64, BorderSet, Calibration, GridPlan, ScanParams};
+use omega_core::{total_order_key_f64, window_step, BorderSet, Calibration, GridPlan, ScanParams};
 use omega_fpga_sim::{FpgaDevice, FpgaOmegaEngine};
 use omega_genome::Alignment;
-use omega_gpu_sim::{GpuDevice, GpuLd, GpuOmegaEngine, TaskDims};
+use omega_gpu_sim::GpuDevice;
 use rayon::prelude::*;
 
-use crate::backend::{Backend, FPGA_LD_SAMPLE_SCORES_PER_SEC};
+use crate::backend::{Backend, DeviceModel};
 
 /// One of the three execution lanes `backend=auto` chooses between.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -126,32 +130,12 @@ impl Prediction {
     }
 }
 
-/// Workload shape of one scorable grid position, extracted by the
-/// parallel shape pass.
-struct PosShape {
-    lo: usize,
-    hi: usize,
-    width: u64,
-    n_lb: u64,
-    n_rb: u64,
-    n_valid: u64,
-    /// Valid right-border trip count per left border (the fpga-sim
-    /// estimator's input).
-    rb_counts: Vec<u64>,
-}
-
 /// Prices a job's workload shape on every backend.
 #[derive(Debug, Clone)]
 pub struct CostPredictor {
     calibration: Calibration,
-    gpu_omega: GpuOmegaEngine,
-    gpu_ld: GpuLd,
-    fpga: FpgaOmegaEngine,
-}
-
-/// `k(k+1)/2` — pairs contributed by matrix rows up to `k`.
-fn tri(k: u64) -> u64 {
-    k * (k + 1) / 2
+    gpu: DeviceModel,
+    fpga: DeviceModel,
 }
 
 impl CostPredictor {
@@ -166,9 +150,8 @@ impl CostPredictor {
     pub fn with_devices(calibration: Calibration, gpu: GpuDevice, fpga: FpgaDevice) -> Self {
         CostPredictor {
             calibration,
-            gpu_omega: GpuOmegaEngine::new(gpu.clone()),
-            gpu_ld: GpuLd::new(gpu),
-            fpga: FpgaOmegaEngine::new(fpga),
+            gpu: DeviceModel::gpu(gpu),
+            fpga: DeviceModel::Fpga(FpgaOmegaEngine::new(fpga)),
         }
     }
 
@@ -191,77 +174,43 @@ impl CostPredictor {
         let n_samples = alignment.n_samples() as u64;
 
         // Shape pass: border sets are independent per position.
-        let shapes: Vec<Option<PosShape>> = plan
+        let shapes: Vec<Option<(Range<usize>, BorderSet, u64)>> = plan
             .positions()
             .par_iter()
             .map(|pp| {
                 let b = BorderSet::build(alignment, pp, params)?;
                 let n_valid = b.n_combinations();
-                if n_valid == 0 {
-                    return None;
-                }
-                let n_rb = b.right_borders.len() as u64;
-                Some(PosShape {
-                    lo: pp.lo,
-                    hi: pp.hi,
-                    width: pp.width() as u64,
-                    n_lb: b.left_borders.len() as u64,
-                    n_rb,
-                    n_valid,
-                    rb_counts: b.first_valid_rb.iter().map(|&f| n_rb - u64::from(f)).collect(),
-                })
+                (n_valid > 0).then_some((pp.lo..pp.hi, b, n_valid))
             })
             .collect();
 
-        // Sequential replay of the matrix window walk: `advance` computes
-        // row `i` fresh for every window row at or past the overlap with
-        // the previous *scorable* window, contributing `i` pairs — i.e.
-        // tri(n-1) - tri(start_row-1).
-        let mut prev_lo = 0usize;
-        let mut prev_n = 0usize;
+        // Sequential replay of the matrix window walk over the scorable
+        // positions, pricing each step the way the detector does. LD and
+        // ω seconds accumulate separately, in the detector's order, so
+        // each lane's sum is bit-identical to its modelled
+        // `ld_seconds + omega_seconds`.
+        let mut prev = 0..0;
         let mut omega_scores = 0u64;
         let mut r2_pairs = 0u64;
-        let mut gpu_seconds = 0.0f64;
-        let mut fpga_seconds = 0.0f64;
-        let mut gpu_omega_memo: HashMap<(u64, u64, u64), f64> = HashMap::new();
-        let mut gpu_ld_memo: HashMap<(u64, u64), f64> = HashMap::new();
-        for s in shapes.iter().flatten() {
-            let n = s.hi - s.lo;
-            let overlap = if prev_n > 0 && s.lo >= prev_lo && s.lo < prev_lo + prev_n {
-                (prev_lo + prev_n).min(s.hi) - s.lo
-            } else {
-                0
-            };
-            let start_row = overlap.max(1);
-            let new_pairs =
-                if n > start_row { tri(n as u64 - 1) - tri(start_row as u64 - 1) } else { 0 };
-            prev_lo = s.lo;
-            prev_n = n;
+        let (mut gpu_ld, mut gpu_omega, mut fpga_ld, mut fpga_omega) = (0.0, 0.0, 0.0, 0.0);
+        for (window, b, n_valid) in shapes.iter().flatten() {
+            let new_pairs = window_step(prev, window.clone()).1.new_pairs;
+            prev = window.clone();
             r2_pairs += new_pairs;
-            omega_scores += s.n_valid;
+            omega_scores += n_valid;
 
-            // GPU: LD update then dynamic two-kernel ω, mirroring the
-            // detector's per-position accounting.
-            let pairs = new_pairs.max(1);
-            let transferred = s.width.min(pairs);
-            gpu_seconds += *gpu_ld_memo.entry((pairs, transferred)).or_insert_with(|| {
-                self.gpu_ld.estimate_update_quiet(pairs, transferred, n_samples).total().get()
-            });
-            gpu_seconds +=
-                *gpu_omega_memo.entry((s.n_lb, s.n_rb, s.n_valid)).or_insert_with(|| {
-                    let dims = TaskDims { n_lb: s.n_lb, n_rb: s.n_rb, n_valid: s.n_valid };
-                    self.gpu_omega.estimate_quiet(&dims).cost.total().get()
-                });
-
-            // FPGA: streamed LD throughput model plus the ω pipeline.
-            fpga_seconds += new_pairs as f64 * n_samples as f64 / FPGA_LD_SAMPLE_SCORES_PER_SEC;
-            fpga_seconds += self.fpga.estimate_seconds(s.rb_counts.iter().copied()).get();
+            let (ld, omega) = self.gpu.price(window.len(), b, new_pairs, n_samples).seconds();
+            gpu_ld += ld;
+            gpu_omega += omega;
+            let (ld, omega) = self.fpga.price(window.len(), b, new_pairs, n_samples).seconds();
+            fpga_ld += ld;
+            fpga_omega += omega;
         }
 
         Prediction {
             cpu_seconds: self.calibration.cpu_seconds(omega_scores, r2_pairs),
-            gpu_seconds,
-            fpga_seconds,
+            gpu_seconds: gpu_ld + gpu_omega,
+            fpga_seconds: fpga_ld + fpga_omega,
             omega_scores,
             r2_pairs,
         }
@@ -322,30 +271,45 @@ mod tests {
     #[test]
     fn gpu_prediction_matches_detector_model() {
         let a = random_alignment(60, 24, 7);
-        let p = CostPredictor::new(Calibration::default()).predict(&a, &params());
-        let o =
-            SweepDetector::new(params(), Backend::Gpu(GpuDevice::tesla_k80())).unwrap().detect(&a);
-        assert!(
-            relative_close(p.gpu_seconds, o.ld_seconds + o.omega_seconds),
-            "predicted {} vs modelled {}",
-            p.gpu_seconds,
-            o.ld_seconds + o.omega_seconds
-        );
+        for gpu in [GpuDevice::tesla_k80(), GpuDevice::radeon_hd8750m()] {
+            let p = CostPredictor::with_devices(
+                Calibration::default(),
+                gpu.clone(),
+                FpgaDevice::alveo_u200(),
+            )
+            .predict(&a, &params());
+            let o = SweepDetector::new(params(), Backend::Gpu(gpu.clone())).unwrap().detect(&a);
+            let modelled = o.ld_seconds + o.omega_seconds;
+            assert_eq!(
+                p.gpu_seconds.to_bits(),
+                modelled.to_bits(),
+                "{}: predicted {} vs modelled {modelled}",
+                gpu.name,
+                p.gpu_seconds
+            );
+        }
     }
 
     #[test]
     fn fpga_prediction_matches_detector_model() {
         let a = random_alignment(60, 24, 8);
-        let p = CostPredictor::new(Calibration::default()).predict(&a, &params());
-        let o = SweepDetector::new(params(), Backend::Fpga(FpgaDevice::alveo_u200()))
-            .unwrap()
-            .detect(&a);
-        assert!(
-            relative_close(p.fpga_seconds, o.ld_seconds + o.omega_seconds),
-            "predicted {} vs modelled {}",
-            p.fpga_seconds,
-            o.ld_seconds + o.omega_seconds
-        );
+        for fpga in [FpgaDevice::alveo_u200(), FpgaDevice::zcu102()] {
+            let p = CostPredictor::with_devices(
+                Calibration::default(),
+                GpuDevice::tesla_k80(),
+                fpga.clone(),
+            )
+            .predict(&a, &params());
+            let o = SweepDetector::new(params(), Backend::Fpga(fpga.clone())).unwrap().detect(&a);
+            let modelled = o.ld_seconds + o.omega_seconds;
+            assert_eq!(
+                p.fpga_seconds.to_bits(),
+                modelled.to_bits(),
+                "{}: predicted {} vs modelled {modelled}",
+                fpga.name,
+                p.fpga_seconds
+            );
+        }
     }
 
     #[test]

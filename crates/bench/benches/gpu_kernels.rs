@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use omega_bench::dataset;
 use omega_core::{BorderSet, GridPlan, MatrixBuildTiming, OmegaTask, RegionMatrix, ScanParams};
-use omega_gpu_sim::{task_dims, GpuDevice, GpuOmegaEngine, KernelKind, TaskDims};
+use omega_gpu_sim::{workload_dims, GpuDevice, GpuOmegaEngine, KernelKind, TaskDims};
 use std::hint::black_box;
 
 fn mid_task(snps: usize) -> OmegaTask {
@@ -29,7 +29,7 @@ fn bench_functional_kernels(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::from_parameter(format!("{kind:?}")),
             &task,
-            |b, task| b.iter(|| black_box(engine.run_task_with(task, kind).best)),
+            |b, task| b.iter(|| black_box(engine.run_workload_with(task, kind).best)),
         );
     }
     group.finish();
@@ -60,7 +60,7 @@ fn bench_dispatch_scan(c: &mut Criterion) {
         })
     });
     // Sanity: dims extraction is cheap.
-    group.bench_function("task_dims", |b| b.iter(|| black_box(task_dims(&tasks[0]))));
+    group.bench_function("workload_dims", |b| b.iter(|| black_box(workload_dims(&tasks[0]))));
     group.finish();
 }
 

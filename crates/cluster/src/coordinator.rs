@@ -44,7 +44,7 @@ use omega_accel::{
 use omega_genome::sites::write_sites;
 use omega_genome::Alignment;
 use omega_obs::JsonObject;
-use omega_serve::http::{serve_connection, Request, Response};
+use omega_serve::http::{serve_connection, spawn_acceptor, Request, Response};
 use omega_serve::job::{make_backend, result_json, timing_json, ScanRequest};
 use omega_serve::parse_scan_request;
 
@@ -538,34 +538,20 @@ pub fn start(config: ClusterConfig) -> io::Result<ClusterHandle> {
         None
     };
 
-    let acceptor_shared = Arc::clone(&shared);
-    let acceptor =
-        std::thread::Builder::new().name("cluster-accept".to_string()).spawn(move || {
-            for stream in listener.incoming() {
-                if acceptor_shared.shutting_down.load(Ordering::SeqCst) {
-                    break;
-                }
-                match stream {
-                    Ok(stream) => {
-                        let shared = Arc::clone(&acceptor_shared);
-                        let spawned = std::thread::Builder::new()
-                            .name("cluster-conn".to_string())
-                            .spawn(move || {
-                                serve_connection(
-                                    stream,
-                                    shared.config.max_body_bytes,
-                                    &shared.shutting_down,
-                                    |request| route(&shared, request),
-                                )
-                            });
-                        if spawned.is_err() {
-                            continue;
-                        }
-                    }
-                    Err(_) => continue,
-                }
-            }
-        })?;
+    let acceptor = spawn_acceptor(
+        listener,
+        "cluster",
+        Arc::clone(&shared),
+        |s| &s.shutting_down,
+        |shared, stream| {
+            serve_connection(
+                stream,
+                shared.config.max_body_bytes,
+                &shared.shutting_down,
+                |request| route(shared, request),
+            )
+        },
+    )?;
 
     Ok(ClusterHandle { addr, shared, acceptor: Some(acceptor), prober })
 }

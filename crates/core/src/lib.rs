@@ -54,7 +54,7 @@ pub mod units;
 
 pub use grid::{grid_position_bp, BorderSet, GridPlan, PositionPlan};
 pub use kernel::{total_order_key, total_order_key_f64, OmegaKernel, TaskView};
-pub use matrix::{MatrixBuildStats, MatrixBuildTiming, RegionMatrix};
+pub use matrix::{window_step, MatrixBuildStats, MatrixBuildTiming, RegionMatrix};
 pub use omega::{omega_max, omega_score, OmegaMax, OmegaTask, OmegaWorkload};
 pub use parallel::{scan_pool, seam_loss, RunQueue};
 pub use params::{ParamError, ScanParams, DENOMINATOR_OFFSET};

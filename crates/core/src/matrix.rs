@@ -15,6 +15,7 @@
 //! paper's FPGA accelerator assumes ("we store matrix M in a column-major
 //! order since we need two columns per iteration of i", §V).
 
+use std::ops::Range;
 use std::time::{Duration, Instant};
 
 use omega_genome::Alignment;
@@ -28,6 +29,33 @@ pub struct MatrixBuildStats {
     /// Matrix cells relocated from the previous window (pairs *not*
     /// recomputed thanks to the data-reuse optimization).
     pub reused_cells: u64,
+}
+
+/// What moving the matrix window from sites `prev` to sites `next`
+/// (absolute alignment indices) costs: the overlap
+/// [`RegionMatrix::advance`] relocates, and the exact stats of the move —
+/// `C(overlap, 2)` cells reused, the window's other `C(n, 2) − reused`
+/// pairs computed fresh. Overlap only exists when `next` starts inside
+/// `prev`, at or after its start (grid positions move right). Pure, so
+/// the cluster seam planner and the `backend=auto` predictor count
+/// exactly what a scan's matrix walk does.
+pub fn window_step(prev: Range<usize>, next: Range<usize>) -> (usize, MatrixBuildStats) {
+    let overlap = if next.start >= prev.start && next.start < prev.end {
+        prev.end.min(next.end) - next.start
+    } else {
+        0
+    };
+    let reused_cells = tri_len(overlap) as u64;
+    (
+        overlap,
+        MatrixBuildStats { new_pairs: tri_len(next.len()) as u64 - reused_cells, reused_cells },
+    )
+}
+
+/// `C(n, 2)`: the site pairs (strict-lower-triangle cells) of `n` sites.
+#[inline]
+fn tri_len(n: usize) -> usize {
+    n * n.saturating_sub(1) / 2
 }
 
 /// Wall-clock split of one matrix build, separating the sample-count-bound
@@ -78,11 +106,6 @@ impl RegionMatrix {
     #[inline]
     pub fn width(&self) -> usize {
         self.n
-    }
-
-    #[inline]
-    fn tri_len(n: usize) -> usize {
-        n * n.saturating_sub(1) / 2
     }
 
     #[inline]
@@ -143,17 +166,11 @@ impl RegionMatrix {
         let _span = omega_obs::span!("matrix.advance");
         let n = hi - lo;
         let old_lo = self.lo;
-        let old_hi = self.lo + self.n;
-        // Overlap only exists when the new window starts inside the old
-        // one at or after its start (grid positions move right).
-        let overlap =
-            if self.n > 0 && lo >= old_lo && lo < old_hi { old_hi.min(hi) - lo } else { 0 };
+        let (overlap, stats) = window_step(old_lo..old_lo + self.n, lo..hi);
 
         let dp_start = Instant::now();
-        let new_len = Self::tri_len(n);
         self.spare.clear();
-        self.spare.resize(new_len, 0.0);
-        let mut reused_cells = 0u64;
+        self.spare.resize(tri_len(n), 0.0);
         if overlap >= 2 {
             let s = lo - old_lo;
             for jn in 0..overlap - 1 {
@@ -162,7 +179,6 @@ impl RegionMatrix {
                 let src = Self::offset(self.n, jo);
                 let dst = Self::offset(n, jn);
                 self.spare[dst..dst + keep].copy_from_slice(&self.data[src..src + keep]);
-                reused_cells += keep as u64;
             }
         }
         std::mem::swap(&mut self.data, &mut self.spare);
@@ -171,24 +187,21 @@ impl RegionMatrix {
         timing.dp += dp_start.elapsed();
 
         // Fresh rows: every window site at or past the overlap.
-        let mut new_pairs = 0u64;
-        let start_row = overlap.max(1);
         self.r2_scratch.resize(n.saturating_sub(1).max(1), 0.0);
-        for i in start_row..n {
+        for i in overlap.max(1)..n {
             let r2_start = Instant::now();
             let row_site = &alignment.sites()[lo + i];
             let (scratch, _) = self.r2_scratch.split_at_mut(i);
             r2_row(row_site, &alignment.sites()[lo..lo + i], scratch);
-            new_pairs += i as u64;
             timing.r2 += r2_start.elapsed();
 
             let dp_start = Instant::now();
             self.dp_row_pass(i);
             timing.dp += dp_start.elapsed();
         }
-        omega_obs::counter!("matrix.r2_pairs").add(new_pairs);
-        omega_obs::counter!("matrix.cells_reused").add(reused_cells);
-        MatrixBuildStats { new_pairs, reused_cells }
+        omega_obs::counter!("matrix.r2_pairs").add(stats.new_pairs);
+        omega_obs::counter!("matrix.cells_reused").add(stats.reused_cells);
+        stats
     }
 
     /// Applies the Eq. 3 recurrence along row `i`, consuming the r² values
@@ -445,8 +458,43 @@ mod proptests {
         Alignment::new(positions, sites, 10 * n_sites as u64 + 10).unwrap()
     }
 
+    /// Site pairs `(b, a)`, `b < a`, of the absolute window `w`.
+    fn pair_set(w: std::ops::Range<usize>) -> std::collections::HashSet<(usize, usize)> {
+        w.clone().flat_map(|a| (w.start..a).map(move |b| (b, a))).collect()
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
+        // Every move of a random window walk — overlapping, disjoint,
+        // left-moving, empty and one-site windows — reports exactly the
+        // brute-force pair sets: the previous window's pairs stay
+        // resident unless the window moved left, resident pairs the new
+        // window still covers are reused, and the rest are fresh.
+        #[test]
+        fn window_walk_stats_equal_pair_set_difference(
+            seed in 0u64..1000,
+            walk in proptest::collection::vec((0usize..24, 0usize..11), 1..12),
+        ) {
+            let a = alignment_from_seed(24, seed);
+            let mut t = MatrixBuildTiming::default();
+            let mut m = RegionMatrix::new();
+            let mut prev = 0..0;
+            for (lo, len) in walk {
+                let next = lo..(lo + len).min(24);
+                let resident =
+                    if next.start >= prev.start { pair_set(prev.clone()) } else { Default::default() };
+                let wanted = pair_set(next.clone());
+                let reused = wanted.intersection(&resident).count() as u64;
+                let fresh = wanted.difference(&resident).count() as u64;
+
+                let stats = m.advance(&a, next.start, next.end, &mut t);
+                prop_assert_eq!(stats, MatrixBuildStats { new_pairs: fresh, reused_cells: reused });
+                prop_assert_eq!(window_step(prev.clone(), next.clone()).1, stats);
+                prop_assert_eq!((m.lo(), m.width()), (next.start, next.len()));
+                prev = next;
+            }
+        }
+
         #[test]
         fn relocation_equals_recompute(
             seed in 0u64..1000,

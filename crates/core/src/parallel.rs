@@ -40,6 +40,7 @@ use omega_genome::Alignment;
 use rayon::prelude::*;
 
 use crate::grid::{BorderSet, GridPlan, PositionPlan};
+use crate::matrix::window_step;
 use crate::profile::{ScanStats, Timings};
 use crate::scan::{scan_positions, OmegaScanner, ScanOutcome};
 
@@ -110,16 +111,11 @@ impl RunQueue {
 
 /// Predicted relocation between two matrix-advancing positions: the cells
 /// [`crate::matrix::RegionMatrix::advance`] relocates when it moves from
-/// `prev`'s window to `cur`'s (`tri(overlap)`), zero when the windows
-/// don't overlap. Public because the cluster shard planner accounts the
-/// same loss at shard boundaries to keep merged stats exact.
+/// `prev`'s window to `cur`'s ([`crate::matrix::window_step`]'s reused
+/// cells). Public because the cluster shard planner accounts the same
+/// loss at shard boundaries to keep merged stats exact.
 pub fn seam_loss(prev: &PositionPlan, cur: &PositionPlan) -> u64 {
-    let overlap =
-        if cur.lo >= prev.lo && cur.lo < prev.hi { prev.hi.min(cur.hi) - cur.lo } else { 0 };
-    if overlap < 2 {
-        return 0;
-    }
-    (overlap as u64) * (overlap as u64 - 1) / 2
+    window_step(prev.lo..prev.hi, cur.lo..cur.hi).1.reused_cells
 }
 
 /// Partitions the grid into runs. `advances[i]` says whether position `i`

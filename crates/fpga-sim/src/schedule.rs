@@ -9,7 +9,7 @@
 //! iterations.
 
 use omega_core::units::{Cycles, Seconds};
-use omega_core::{OmegaMax, OmegaTask, OmegaWorkload, TaskView};
+use omega_core::{OmegaMax, OmegaWorkload};
 
 use crate::device::FpgaDevice;
 use crate::pipeline::{OmegaPipeline, PipeInput};
@@ -33,6 +33,9 @@ pub struct FpgaRun {
     pub sw_scores: u64,
     /// Accelerator cycles consumed.
     pub cycles: Cycles,
+    /// The non-streaming part of `cycles`: the RS prefetch burst plus the
+    /// single pipeline fill the position pays.
+    pub stall_cycles: Cycles,
     /// Wall time: accelerator cycles at the device clock plus host
     /// software remainder time.
     pub seconds: Seconds,
@@ -61,52 +64,33 @@ impl FpgaOmegaEngine {
         &self.pipeline
     }
 
-    /// Executes one position functionally and charges cycles.
+    /// Executes any workload form functionally — the zero-copy host view
+    /// included — and charges the cycles [`FpgaOmegaEngine::estimate`]
+    /// budgets for its trip counts.
     ///
     /// For each left border, the valid right-side iterations are split:
     /// the largest multiple of the unroll factor runs on the pipelines
-    /// (all instances in lockstep, `hw/unroll` steady-state cycles; the
-    /// position pays one pipeline fill plus the RS prefetch burst), the
-    /// remainder runs in host software.
-    pub fn run_task(&self, task: &OmegaTask) -> FpgaRun {
-        self.run_workload(task)
-    }
-
-    /// Executes one position straight from the zero-copy host view — no
-    /// flattened buffers are materialised on the host side.
-    pub fn run_view(&self, view: &TaskView<'_>) -> FpgaRun {
-        self.run_workload(view)
-    }
-
-    /// Executes any workload form functionally and charges cycles (see
-    /// [`FpgaOmegaEngine::run_task`]).
+    /// (all instances in lockstep), the remainder runs in host software.
     pub fn run_workload<W: OmegaWorkload>(&self, task: &W) -> FpgaRun {
         let _span = omega_obs::span!("fpga.task");
-        let unroll = self.device.unroll as u64;
+        let unroll = self.device.unroll as usize;
         let n_rb = task.n_rb();
         let n_lb = task.n_lb();
+        let run = self.estimate((0..n_lb).map(|a| (n_rb - task.first_valid_rb(a)) as u64));
         let mut scores: Vec<f32> = vec![f32::NEG_INFINITY; n_lb * n_rb];
-        let mut hw_scores = 0u64;
-        let mut sw_scores = 0u64;
-        let any_work = task.n_combinations() > 0;
-        let mut cycles = if any_work { PREFETCH_INIT_CYCLES } else { Cycles::ZERO };
 
         for a in 0..n_lb {
             let first = task.first_valid_rb(a);
-            let valid = (n_rb - first) as u64;
-            if valid == 0 {
-                continue;
-            }
+            let valid = n_rb - first;
             let hw = valid - valid % unroll;
-            // Hardware slice: per instance `hw/unroll` inputs; instances run
-            // in lockstep so the position pays one fill plus the per-instance
-            // trip count.
+            // Hardware slice: per instance `hw/unroll` inputs, instances in
+            // lockstep.
             if hw > 0 {
                 let per_instance = hw / unroll;
-                for inst in 0..unroll as usize {
-                    let inputs: Vec<PipeInput> = (0..per_instance as usize)
+                for inst in 0..unroll {
+                    let inputs: Vec<PipeInput> = (0..per_instance)
                         .map(|step| {
-                            let b = first + step * unroll as usize + inst;
+                            let b = first + step * unroll + inst;
                             PipeInput {
                                 ls: task.ls(a),
                                 rs: task.rs(b),
@@ -119,29 +103,20 @@ impl FpgaOmegaEngine {
                     let (vals, c) = self.pipeline.process(&inputs);
                     // The pipeline streams across left-border iterations
                     // without draining (II = 1 throughout the position), so
-                    // only the steady-state trip count accrues here; the
-                    // single fill is charged once per position below.
-                    debug_assert_eq!(c, per_instance + u64::from(self.pipeline.latency()));
+                    // the estimate charges the fill once per position.
+                    debug_assert_eq!(c, per_instance as u64 + u64::from(self.pipeline.latency()));
                     let _ = c;
                     for (step, v) in vals.into_iter().enumerate() {
-                        let b = first + step * unroll as usize + inst;
-                        scores[a * n_rb + b] = v;
+                        scores[a * n_rb + first + step * unroll + inst] = v;
                     }
                 }
-                cycles += Cycles(per_instance);
-                hw_scores += hw;
             }
             // Software remainder.
-            for b in first + hw as usize..n_rb {
+            for b in first + hw..n_rb {
                 scores[a * n_rb + b] = task.score(a, b);
-                sw_scores += 1;
             }
         }
-
-        if hw_scores > 0 {
-            cycles += Cycles(u64::from(self.pipeline.latency()));
-        }
-        record_fpga_metrics(cycles, hw_scores, sw_scores, any_work, self.pipeline.latency());
+        Self::record(&run);
 
         // Reference-order reduction over the score buffer, under the shared
         // `total_cmp` contract (NaN ranks above finite, first wins ties).
@@ -160,100 +135,65 @@ impl FpgaOmegaEngine {
             }
         }
         if let Some(b) = &mut best {
-            b.evaluated = hw_scores + sw_scores;
+            b.evaluated = run.hw_scores + run.sw_scores;
         }
-        let seconds =
-            cycles.at_clock_hz(self.device.clock_hz()) + Seconds(sw_scores as f64 / HOST_SW_RATE);
-        FpgaRun { best, hw_scores, sw_scores, cycles, seconds }
+        FpgaRun { best, ..run }
     }
 
-    /// The shared analytic cycle budget of [`FpgaOmegaEngine::estimate`]
-    /// and [`FpgaOmegaEngine::estimate_seconds`]: per-iteration unrolled
-    /// trips, the RS prefetch burst, and one pipeline fill.
-    fn analytic_cycles(
-        &self,
-        rb_counts: impl IntoIterator<Item = u64>,
-    ) -> (Cycles, u64, u64, bool) {
+    /// Analytic cycle/time budget for a position given the valid
+    /// right-side trip count of every left-border iteration — usable at
+    /// paper-scale workloads without functional execution. Each
+    /// iteration's largest multiple of the unroll factor streams through
+    /// the pipelines at one input per instance per cycle; its remainder
+    /// runs in host software at [`HOST_SW_RATE`]. A position with work
+    /// pays the RS prefetch burst, and one pipeline fill if any score ran
+    /// in hardware. Records nothing: the `backend=auto` predictor prices
+    /// with it too.
+    pub fn estimate(&self, rb_counts: impl IntoIterator<Item = u64>) -> FpgaRun {
         let unroll = self.device.unroll as u64;
-        let latency = Cycles(u64::from(self.pipeline.latency()));
-        let mut cycles = Cycles::ZERO;
+        let mut streaming = Cycles::ZERO;
         let mut hw_scores = 0u64;
         let mut sw_scores = 0u64;
-        let mut any = false;
+        let mut any_work = false;
         for valid in rb_counts {
-            if valid == 0 {
-                continue;
-            }
-            any = true;
+            any_work |= valid > 0;
             let hw = valid - valid % unroll;
-            if hw > 0 {
-                cycles += Cycles(hw / unroll);
-                hw_scores += hw;
-            }
+            streaming += Cycles(hw / unroll);
+            hw_scores += hw;
             sw_scores += valid % unroll;
         }
-        if any {
-            cycles += PREFETCH_INIT_CYCLES;
+        let mut stall_cycles = Cycles::ZERO;
+        if any_work {
+            stall_cycles += PREFETCH_INIT_CYCLES;
         }
         if hw_scores > 0 {
-            cycles += latency;
+            stall_cycles += Cycles(u64::from(self.pipeline.latency()));
         }
-        (cycles, hw_scores, sw_scores, any)
-    }
-
-    /// Analytic cycle/time estimate for a position given the valid
-    /// right-side trip count of every left-border iteration — usable at
-    /// paper-scale workloads without functional execution.
-    pub fn estimate(&self, rb_counts: impl IntoIterator<Item = u64>) -> FpgaRun {
-        let _span = omega_obs::span!("fpga.estimate");
-        let (cycles, hw_scores, sw_scores, any) = self.analytic_cycles(rb_counts);
+        let cycles = streaming + stall_cycles;
         let seconds =
             cycles.at_clock_hz(self.device.clock_hz()) + Seconds(sw_scores as f64 / HOST_SW_RATE);
-        record_fpga_metrics(cycles, hw_scores, sw_scores, any, self.pipeline.latency());
-        // Modelled ω stage time, exposed next to the serve/gpu stage
-        // histograms so `/metrics` can compare backends per stage.
-        omega_obs::histogram!("fpga.stage.omega_ns").record(seconds.to_nanos().get());
-        FpgaRun { best: None, hw_scores, sw_scores, cycles, seconds }
+        FpgaRun { best: None, hw_scores, sw_scores, cycles, stall_cycles, seconds }
     }
 
-    /// Metric-free analytic seconds — the `backend=auto` predictor's
-    /// fast path. Identical arithmetic to [`FpgaOmegaEngine::estimate`],
-    /// but a prediction consult must not inflate the `fpga.*` counters
-    /// and stage histograms that describe *executed* work, so nothing is
-    /// recorded.
-    pub fn estimate_seconds(&self, rb_counts: impl IntoIterator<Item = u64>) -> Seconds {
-        let (cycles, _, sw_scores, _) = self.analytic_cycles(rb_counts);
-        cycles.at_clock_hz(self.device.clock_hz()) + Seconds(sw_scores as f64 / HOST_SW_RATE)
+    /// Accounts one executed position to the metrics registry: the
+    /// `fpga.estimate` span, its cycles and stall cycles, its hardware
+    /// and software scores, and its modelled ω stage time (exposed next
+    /// to the serve/gpu stage histograms so `/metrics` can compare
+    /// backends per stage). The one place the engine records work.
+    pub fn record(run: &FpgaRun) {
+        let _span = omega_obs::span!("fpga.estimate");
+        omega_obs::counter!("fpga.pipeline.cycles").add(run.cycles.get());
+        omega_obs::counter!("fpga.pipeline.stall_cycles").add(run.stall_cycles.get());
+        omega_obs::counter!("fpga.hw_scores").add(run.hw_scores);
+        omega_obs::counter!("fpga.sw_scores").add(run.sw_scores);
+        omega_obs::histogram!("fpga.stage.omega_ns").record(run.seconds.to_nanos().get());
     }
-}
-
-/// Accounts one position's accelerator workload to the metrics registry.
-/// Stall cycles are the non-streaming part of the budget: the RS prefetch
-/// burst plus the single pipeline fill the position pays.
-fn record_fpga_metrics(
-    cycles: Cycles,
-    hw_scores: u64,
-    sw_scores: u64,
-    any_work: bool,
-    latency: u32,
-) {
-    let mut stall = Cycles::ZERO;
-    if any_work {
-        stall += PREFETCH_INIT_CYCLES;
-    }
-    if hw_scores > 0 {
-        stall += Cycles(u64::from(latency));
-    }
-    omega_obs::counter!("fpga.pipeline.cycles").add(cycles.get());
-    omega_obs::counter!("fpga.pipeline.stall_cycles").add(stall.get());
-    omega_obs::counter!("fpga.hw_scores").add(hw_scores);
-    omega_obs::counter!("fpga.sw_scores").add(sw_scores);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use omega_core::{BorderSet, GridPlan, MatrixBuildTiming, RegionMatrix, ScanParams};
+    use omega_core::{BorderSet, GridPlan, MatrixBuildTiming, OmegaTask, RegionMatrix, ScanParams};
     use omega_genome::{Alignment, SnpVec};
     use rand::{rngs::StdRng, Rng, SeedableRng};
 
@@ -310,8 +250,8 @@ mod tests {
 
         let engine = FpgaOmegaEngine::new(FpgaDevice::zcu102());
         let task = OmegaTask::extract(&m, &b, &plan);
-        let via_task = engine.run_task(&task);
-        let via_view = engine.run_view(&omega_core::TaskView::new(&m, &b, &plan));
+        let via_task = engine.run_workload(&task);
+        let via_view = engine.run_workload(&omega_core::TaskView::new(&m, &b, &plan));
         assert_eq!(via_task.cycles, via_view.cycles);
         assert_eq!(via_task.hw_scores, via_view.hw_scores);
         assert_eq!(via_task.sw_scores, via_view.sw_scores);
@@ -327,7 +267,7 @@ mod tests {
             let task = random_task(seed, 18, 0);
             for device in FpgaDevice::paper_targets() {
                 let engine = FpgaOmegaEngine::new(device);
-                let run = engine.run_task(&task);
+                let run = engine.run_workload(&task);
                 let r = task.max_reference().unwrap();
                 let g = run.best.unwrap();
                 assert_eq!(g.omega, r.omega, "seed {seed}");
@@ -342,7 +282,7 @@ mod tests {
     fn hw_sw_split_respects_unroll() {
         let task = random_task(10, 19, 0);
         let engine = FpgaOmegaEngine::new(FpgaDevice::zcu102());
-        let run = engine.run_task(&task);
+        let run = engine.run_workload(&task);
         // Per-lb remainders are < unroll each.
         assert_eq!(run.hw_scores % 4, 0);
         assert_eq!(run.hw_scores + run.sw_scores, task.n_combinations());
@@ -354,7 +294,7 @@ mod tests {
         let task = random_task(11, 18, 800);
         assert!(task.first_valid_rb.iter().any(|&f| f > 0));
         let engine = FpgaOmegaEngine::new(FpgaDevice::alveo_u200());
-        let run = engine.run_task(&task);
+        let run = engine.run_workload(&task);
         let r = task.max_reference().unwrap();
         assert_eq!(run.best.unwrap().omega, r.omega);
         assert_eq!(run.hw_scores + run.sw_scores, task.n_combinations());
@@ -364,7 +304,7 @@ mod tests {
     fn estimate_matches_run_cycles() {
         let task = random_task(12, 20, 0);
         let engine = FpgaOmegaEngine::new(FpgaDevice::zcu102());
-        let run = engine.run_task(&task);
+        let run = engine.run_workload(&task);
         let n_rb = task.rs.len() as u64;
         let est = engine.estimate(task.first_valid_rb.iter().map(|&f| n_rb - u64::from(f)));
         assert_eq!(run.cycles, est.cycles);

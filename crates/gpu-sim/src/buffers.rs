@@ -22,7 +22,7 @@ pub enum KernelKind {
 }
 
 /// Logical dimensions of one position's workload.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TaskDims {
     /// Number of left borders.
     pub n_lb: u64,

@@ -9,7 +9,7 @@
 //! *memory* behaviour the cost model charges, not values), so
 //! tie-breaking matches the CPU reference exactly.
 
-use omega_core::{OmegaMax, OmegaTask, OmegaWorkload, TaskView};
+use omega_core::{OmegaMax, OmegaTask, OmegaWorkload};
 use rayon::prelude::*;
 
 use crate::buffers::{BufferPlan, KernelKind, TaskDims};
@@ -64,46 +64,33 @@ impl GpuOmegaEngine {
         }
     }
 
-    /// Runs one position with dynamic kernel selection.
-    pub fn run_task(&self, task: &OmegaTask) -> KernelRun {
-        self.run_workload(task)
-    }
-
-    /// Runs one position straight from the zero-copy host view — no
-    /// flattened buffers are materialised; only the simulated transfer
-    /// cost still reflects the PCIe crossing.
-    pub fn run_view(&self, view: &TaskView<'_>) -> KernelRun {
-        self.run_workload(view)
-    }
-
-    /// Runs any workload form with dynamic kernel selection.
+    /// Runs any workload form with dynamic kernel selection — including
+    /// the zero-copy host view, where no flattened buffers are
+    /// materialised and only the simulated transfer cost still reflects
+    /// the PCIe crossing.
     pub fn run_workload<W: OmegaWorkload + Sync>(&self, workload: &W) -> KernelRun {
         self.run_workload_with(workload, self.dispatch_kind(workload.n_combinations()))
     }
 
-    /// Runs one position on a forced kernel (used by the Fig. 12 sweeps
-    /// that evaluate each kernel in isolation).
-    pub fn run_task_with(&self, task: &OmegaTask, kind: KernelKind) -> KernelRun {
-        self.run_workload_with(task, kind)
-    }
-
-    /// Runs any workload form on a forced kernel.
+    /// Runs any workload form on a forced kernel (used by the Fig. 12
+    /// sweeps that evaluate each kernel in isolation).
     pub fn run_workload_with<W: OmegaWorkload + Sync>(
         &self,
         workload: &W,
         kind: KernelKind,
     ) -> KernelRun {
         let _span = omega_obs::span!("gpu.task");
-        let dims = workload_dims(workload);
         let best = execute_functional(workload);
-        let mut run = self.estimate(&dims, kind);
-        run.best = best;
-        run
+        let run = self.estimate(&workload_dims(workload), kind);
+        Self::record(&run);
+        KernelRun { best, ..run }
     }
 
-    /// The shared cost arithmetic of [`GpuOmegaEngine::estimate`] and
-    /// [`GpuOmegaEngine::estimate_quiet`].
-    fn estimate_cost(&self, dims: &TaskDims, kind: KernelKind) -> KernelRun {
+    /// Analytic cost of a position with the given dimensions — no
+    /// functional execution, usable at paper-scale workloads. Records
+    /// nothing: the `backend=auto` predictor prices with it too, and a
+    /// prediction executes no work.
+    pub fn estimate(&self, dims: &TaskDims, kind: KernelKind) -> KernelRun {
         let plan = match kind {
             KernelKind::One => BufferPlan::kernel1(dims),
             KernelKind::Two => BufferPlan::kernel2(dims, self.device()),
@@ -123,49 +110,34 @@ impl GpuOmegaEngine {
         KernelRun { kind, best: None, scores: dims.n_valid, items: plan.items, cost }
     }
 
-    /// Analytic cost of a position with the given dimensions — no
-    /// functional execution, usable at paper-scale workloads.
-    pub fn estimate(&self, dims: &TaskDims, kind: KernelKind) -> KernelRun {
-        let _span = omega_obs::span!("gpu.estimate");
-        match kind {
-            KernelKind::One => omega_obs::counter!("gpu.kernel1.launches").inc(),
-            KernelKind::Two => omega_obs::counter!("gpu.kernel2.launches").inc(),
-        }
-        let run = self.estimate_cost(dims, kind);
-        omega_obs::counter!("gpu.transfer.bytes").add(run.cost.transfer_bytes.get());
-        omega_obs::histogram!("gpu.task.scores").record(dims.n_valid);
-        run
-    }
-
     /// Analytic cost with dynamic dispatch.
     pub fn estimate_dynamic(&self, dims: &TaskDims) -> KernelRun {
         self.estimate(dims, self.dispatch_kind(dims.n_valid))
     }
 
-    /// Metric-free dynamic-dispatch estimate — the `backend=auto`
-    /// predictor's fast path. Identical arithmetic to
-    /// [`GpuOmegaEngine::estimate_dynamic`], but a prediction consult
-    /// must not inflate the `gpu.*` launch counters, transfer bytes, or
-    /// task-size histogram that describe *executed* work.
-    pub fn estimate_quiet(&self, dims: &TaskDims) -> KernelRun {
-        self.estimate_cost(dims, self.dispatch_kind(dims.n_valid))
+    /// Accounts one executed position to the metrics registry: the
+    /// `gpu.estimate` span, the launch counter of its kernel, its PCIe
+    /// bytes and its task size. The one place the ω engine records work.
+    pub fn record(run: &KernelRun) {
+        let _span = omega_obs::span!("gpu.estimate");
+        match run.kind {
+            KernelKind::One => omega_obs::counter!("gpu.kernel1.launches").inc(),
+            KernelKind::Two => omega_obs::counter!("gpu.kernel2.launches").inc(),
+        }
+        omega_obs::counter!("gpu.transfer.bytes").add(run.cost.transfer_bytes.get());
+        omega_obs::histogram!("gpu.task.scores").record(run.scores);
     }
 
     /// Runs a whole scan's worth of tasks with dynamic dispatch,
     /// accumulating the pipeline cost.
     pub fn run_scan(&self, tasks: &[OmegaTask]) -> (Vec<KernelRun>, GpuCost) {
-        let runs: Vec<KernelRun> = tasks.iter().map(|t| self.run_task(t)).collect();
+        let runs: Vec<KernelRun> = tasks.iter().map(|t| self.run_workload(t)).collect();
         let mut total = GpuCost::default();
         for r in &runs {
             total.accumulate(&r.cost);
         }
         (runs, total)
     }
-}
-
-/// Dimensions of a task's workload.
-pub fn task_dims(task: &OmegaTask) -> TaskDims {
-    workload_dims(task)
 }
 
 /// Dimensions of any workload form.
@@ -282,8 +254,8 @@ mod tests {
 
         let engine = GpuOmegaEngine::new(GpuDevice::tesla_k80());
         let task = OmegaTask::extract(&m, &b, &plan);
-        let via_task = engine.run_task(&task);
-        let via_view = engine.run_view(&omega_core::TaskView::new(&m, &b, &plan));
+        let via_task = engine.run_workload(&task);
+        let via_view = engine.run_workload(&omega_core::TaskView::new(&m, &b, &plan));
         assert_eq!(via_task.kind, via_view.kind);
         assert_eq!(via_task.cost, via_view.cost);
         let (t_best, v_best) = (via_task.best.unwrap(), via_view.best.unwrap());
@@ -298,7 +270,7 @@ mod tests {
         for seed in 0..6 {
             let task = random_task(seed, 16, 0);
             let engine = GpuOmegaEngine::new(GpuDevice::tesla_k80());
-            let run = engine.run_task(&task);
+            let run = engine.run_workload(&task);
             let reference = task.max_reference();
             let got = run.best;
             match (got, reference) {
@@ -319,7 +291,7 @@ mod tests {
         let task = random_task(42, 16, 700);
         assert!(task.first_valid_rb.iter().any(|&f| f > 0), "need real holes");
         let engine = GpuOmegaEngine::new(GpuDevice::radeon_hd8750m());
-        let run = engine.run_task(&task);
+        let run = engine.run_workload(&task);
         let r = task.max_reference().unwrap();
         assert_eq!(run.best.unwrap().omega, r.omega);
         assert_eq!(run.best.unwrap().evaluated, r.evaluated);
@@ -329,8 +301,8 @@ mod tests {
     fn both_kernels_same_values_different_cost() {
         let task = random_task(7, 20, 0);
         let engine = GpuOmegaEngine::new(GpuDevice::tesla_k80());
-        let one = engine.run_task_with(&task, KernelKind::One);
-        let two = engine.run_task_with(&task, KernelKind::Two);
+        let one = engine.run_workload_with(&task, KernelKind::One);
+        let two = engine.run_workload_with(&task, KernelKind::Two);
         assert_eq!(one.best.unwrap().omega, two.best.unwrap().omega);
         assert_ne!(one.cost, two.cost);
     }
@@ -347,8 +319,8 @@ mod tests {
     fn estimate_matches_run_cost() {
         let task = random_task(9, 14, 0);
         let engine = GpuOmegaEngine::new(GpuDevice::tesla_k80());
-        let run = engine.run_task(&task);
-        let est = engine.estimate_dynamic(&task_dims(&task));
+        let run = engine.run_workload(&task);
+        let est = engine.estimate_dynamic(&workload_dims(&task));
         assert_eq!(run.cost, est.cost);
         assert_eq!(run.items, est.items);
         assert!(est.best.is_none());
@@ -393,7 +365,7 @@ mod tests {
             right_borders: vec![],
         };
         let engine = GpuOmegaEngine::new(GpuDevice::tesla_k80());
-        let run = engine.run_task(&task);
+        let run = engine.run_workload(&task);
         assert!(run.best.is_none());
         assert_eq!(run.scores, 0);
     }
@@ -440,7 +412,7 @@ mod proptests {
         #[test]
         fn gpu_always_agrees_with_reference(task in arb_task()) {
             let engine = GpuOmegaEngine::new(GpuDevice::tesla_k80());
-            let run = engine.run_task(&task);
+            let run = engine.run_workload(&task);
             let reference = task.max_reference();
             match (run.best, reference) {
                 (Some(g), Some(r)) => {

@@ -28,37 +28,25 @@ impl GpuLd {
 
     /// Computes the r² block `rows × cols` on the simulated device:
     /// results come from the real popcount GEMM; the cost covers packing,
-    /// both transfers, and the GEMM kernel.
+    /// both transfers, and the GEMM kernel — an update of `rows·cols`
+    /// pairs shipping `rows + cols` SNPs.
     pub fn run_block(&self, rows: &[SnpVec], cols: &[SnpVec]) -> (Vec<f32>, GpuCost) {
         let _span = omega_obs::span!("gpu.ld.block");
         let r2 = r2_block(rows, cols);
         let n_samples = rows.first().or(cols.first()).map_or(0, SnpVec::n_samples);
-        let cost = self.estimate_block(rows.len() as u64, cols.len() as u64, n_samples as u64);
+        let (n_rows, n_cols) = (rows.len() as u64, cols.len() as u64);
+        let cost = self.estimate_update(n_rows * n_cols, n_rows + n_cols, n_samples as u64);
+        Self::record(n_rows * n_cols, &cost);
         (r2, cost)
     }
 
     /// Analytic cost of one scan step's LD update: `new_pairs` r² values
     /// computed against a window, shipping `snps_transferred` packed SNPs
-    /// to the device. This is the per-grid-position LD workload of the
-    /// Fig. 3 flow, where the data-reuse optimization has already pruned
-    /// relocated pairs.
+    /// (two bit planes each) to the device. This is the per-grid-position
+    /// LD workload of the Fig. 3 flow, where the data-reuse optimization
+    /// has already pruned relocated pairs. Records nothing: the
+    /// `backend=auto` predictor prices with it too.
     pub fn estimate_update(
-        &self,
-        new_pairs: u64,
-        snps_transferred: u64,
-        n_samples: u64,
-    ) -> GpuCost {
-        omega_obs::counter!("gpu.ld.pairs").add(new_pairs);
-        let cost = self.estimate_update_quiet(new_pairs, snps_transferred, n_samples);
-        omega_obs::counter!("gpu.transfer.bytes").add(cost.transfer_bytes.get());
-        cost
-    }
-
-    /// Metric-free variant of [`GpuLd::estimate_update`] — the
-    /// `backend=auto` predictor's fast path. A prediction consult must
-    /// not inflate `gpu.ld.pairs` / `gpu.transfer.bytes`, which describe
-    /// *executed* work.
-    pub fn estimate_update_quiet(
         &self,
         new_pairs: u64,
         snps_transferred: u64,
@@ -77,21 +65,12 @@ impl GpuLd {
         }
     }
 
-    /// Analytic cost of a `n_rows × n_cols` LD block over `n_samples`
-    /// samples (two bit planes per SNP).
-    pub fn estimate_block(&self, n_rows: u64, n_cols: u64, n_samples: u64) -> GpuCost {
-        let words = n_samples.div_ceil(64).max(1);
-        let snp_bytes = Bytes((n_rows + n_cols) * words * 8 * 2);
-        let out_bytes = Bytes(n_rows * n_cols * 4);
-        let pairs = n_rows * n_cols;
-        GpuCost {
-            host_prep: self.model.host_prep_time(snp_bytes),
-            h2d: self.model.transfer_time(snp_bytes),
-            kernel: self.model.gemm_time(pairs, words),
-            d2h: self.model.transfer_time(out_bytes),
-            host_reduce: Seconds::ZERO,
-            transfer_bytes: snp_bytes + out_bytes,
-        }
+    /// Accounts one executed update of `pairs` r² values costing `cost`
+    /// to the metrics registry (`gpu.ld.pairs`, `gpu.transfer.bytes`).
+    /// The one place the LD engine records work.
+    pub fn record(pairs: u64, cost: &GpuCost) {
+        omega_obs::counter!("gpu.ld.pairs").add(pairs);
+        omega_obs::counter!("gpu.transfer.bytes").add(cost.transfer_bytes.get());
     }
 }
 
@@ -128,8 +107,8 @@ mod tests {
     #[test]
     fn cost_scales_with_samples() {
         let ld = GpuLd::new(GpuDevice::tesla_k80());
-        let small = ld.estimate_block(1000, 1000, 64);
-        let big = ld.estimate_block(1000, 1000, 64_000);
+        let small = ld.estimate_update(1000 * 1000, 1000 + 1000, 64);
+        let big = ld.estimate_update(1000 * 1000, 1000 + 1000, 64_000);
         assert!(big.kernel.get() > 10.0 * small.kernel.get());
         assert!(big.h2d > small.h2d);
     }
@@ -137,8 +116,8 @@ mod tests {
     #[test]
     fn cost_scales_with_pairs() {
         let ld = GpuLd::new(GpuDevice::radeon_hd8750m());
-        let small = ld.estimate_block(100, 100, 1000);
-        let big = ld.estimate_block(10_000, 100, 1000);
+        let small = ld.estimate_update(100 * 100, 100 + 100, 1000);
+        let big = ld.estimate_update(10_000 * 100, 10_000 + 100, 1000);
         assert!(big.kernel > small.kernel);
         assert!(big.d2h > small.d2h);
     }
@@ -147,8 +126,8 @@ mod tests {
     fn k80_gemm_faster_than_radeon() {
         let k = GpuLd::new(GpuDevice::tesla_k80());
         let r = GpuLd::new(GpuDevice::radeon_hd8750m());
-        let a = k.estimate_block(5_000, 5_000, 10_000);
-        let b = r.estimate_block(5_000, 5_000, 10_000);
+        let a = k.estimate_update(5_000 * 5_000, 5_000 + 5_000, 10_000);
+        let b = r.estimate_update(5_000 * 5_000, 5_000 + 5_000, 10_000);
         assert!(a.kernel < b.kernel);
     }
 }

@@ -29,6 +29,6 @@ pub mod overlap;
 pub use buffers::{BufferPlan, KernelKind, TaskDims};
 pub use cost::{CostModel, GpuCost};
 pub use device::{table2_rows, GpuDevice, HostCpu};
-pub use kernels::{task_dims, GpuOmegaEngine, KernelRun};
+pub use kernels::{workload_dims, GpuOmegaEngine, KernelRun};
 pub use ld::GpuLd;
 pub use overlap::{OverlapMode, OverlapSummary, TransferPipeline};

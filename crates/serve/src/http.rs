@@ -39,9 +39,10 @@
 //! on the request.
 
 use std::io::{self, BufReader, ErrorKind, Read, Write};
-use std::net::TcpStream;
+use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 use omega_obs::{Counter, JsonObject};
@@ -491,6 +492,36 @@ pub fn serve_connection(
             }
         }
     }
+}
+
+/// Spawns a daemon's accept loop on a `{role}-accept` thread. Each
+/// accepted connection gets its own `{role}-conn` thread running
+/// `handle(&shared, stream)`. The loop ends at the first connection
+/// accepted after `closing(&shared)` is set, so shutdown sets the flag
+/// and then connects once to wake it. Failed accepts are skipped, and a
+/// connection whose thread cannot be spawned is dropped: under thread
+/// exhaustion the daemon sheds load rather than dies.
+pub fn spawn_acceptor<S: Send + Sync + 'static>(
+    listener: TcpListener,
+    role: &str,
+    shared: Arc<S>,
+    closing: fn(&S) -> &AtomicBool,
+    handle: fn(&S, TcpStream),
+) -> io::Result<JoinHandle<()>> {
+    let conn_name = format!("{role}-conn");
+    std::thread::Builder::new().name(format!("{role}-accept")).spawn(move || {
+        for stream in listener.incoming() {
+            if closing(&shared).load(Ordering::SeqCst) {
+                break;
+            }
+            let Ok(stream) = stream else { continue };
+            let shared = Arc::clone(&shared);
+            // Thread exhaustion: shed this connection rather than die.
+            let _ = std::thread::Builder::new()
+                .name(conn_name.clone())
+                .spawn(move || handle(&shared, stream));
+        }
+    })
 }
 
 /// A pooled keep-alive client for one peer address.

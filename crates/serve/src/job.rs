@@ -58,6 +58,11 @@ impl BackendKind {
         }
     }
 
+    /// The lane named `name` (`auto` names no lane).
+    pub fn from_name(name: &str) -> Option<BackendKind> {
+        Self::ALL.into_iter().find(|kind| kind.as_str() == name)
+    }
+
     /// Lowercase wire name.
     pub fn as_str(self) -> &'static str {
         match self {
@@ -216,11 +221,11 @@ pub fn parse_scan_request(body: &str) -> Result<ScanRequest, RequestError> {
     // selector is reported even alongside a bad payload); `auto` defers
     // the actual choice until the alignments exist to predict over.
     let explicit = match v.get("backend").and_then(JsonValue::as_str).unwrap_or("cpu") {
-        "cpu" => Some(BackendKind::Cpu),
-        "gpu" => Some(BackendKind::Gpu),
-        "fpga" => Some(BackendKind::Fpga),
         "auto" => None,
-        other => return Err(RequestError::UnknownSelector("backend", other.to_string())),
+        name => Some(
+            BackendKind::from_name(name)
+                .ok_or_else(|| RequestError::UnknownSelector("backend", name.to_string()))?,
+        ),
     };
     let device = v.get("device").and_then(JsonValue::as_str).unwrap_or("").to_string();
     if explicit.is_none() && !device.is_empty() {

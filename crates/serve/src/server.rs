@@ -33,7 +33,7 @@ use std::time::{Duration, Instant};
 use omega_obs::{JsonObject, RequestTrace, TraceContext};
 
 use crate::cache::{CacheKey, ResultCache};
-use crate::http::{error_body, serve_connection, Request, Response};
+use crate::http::{error_body, serve_connection, spawn_acceptor, Request, Response};
 use crate::job::{job_json, parse_scan_request, BackendKind, JobId, JobLookup, JobState, JobTable};
 use crate::job::{DEFAULT_RETAIN_FOR, DEFAULT_RETAIN_TERMINAL};
 use crate::queue::{Lanes, Submission, SubmitError};
@@ -633,28 +633,13 @@ pub fn start(config: ServeConfig) -> io::Result<ServeHandle> {
         );
     }
 
-    let acceptor_shared = Arc::clone(&shared);
-    let acceptor =
-        std::thread::Builder::new().name("serve-accept".to_string()).spawn(move || {
-            for stream in listener.incoming() {
-                if acceptor_shared.shutting_down.load(Ordering::SeqCst) {
-                    break;
-                }
-                match stream {
-                    Ok(stream) => {
-                        let shared = Arc::clone(&acceptor_shared);
-                        let spawned = std::thread::Builder::new()
-                            .name("serve-conn".to_string())
-                            .spawn(move || handle_connection(&shared, stream));
-                        if spawned.is_err() {
-                            // Thread exhaustion: shed load rather than die.
-                            continue;
-                        }
-                    }
-                    Err(_) => continue,
-                }
-            }
-        })?;
+    let acceptor = spawn_acceptor(
+        listener,
+        "serve",
+        Arc::clone(&shared),
+        |s| &s.shutting_down,
+        handle_connection,
+    )?;
 
     Ok(ServeHandle { addr, shared, acceptor: Some(acceptor), workers })
 }

@@ -41,12 +41,11 @@ use std::process::ExitCode;
 
 use omega_accel::{Backend, BatchDetector, BatchOutcome, DetectionOutcome, OverlapMode};
 use omega_core::{Report, ScanParams};
-use omega_fpga_sim::FpgaDevice;
 use omega_genome::filter::SiteFilter;
 use omega_genome::ms::{MsReadOptions, MsReplicates};
 use omega_genome::vcf::VcfReadOptions;
 use omega_genome::{fasta, vcf, Alignment};
-use omega_gpu_sim::GpuDevice;
+use omega_serve::job::{make_backend, BackendKind};
 
 /// Which `ms` replicates to scan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -344,20 +343,9 @@ fn write_report(report: &Report, path: &str) -> Result<(), String> {
 }
 
 fn pick_backend(cli: &Cli) -> Result<Backend, String> {
-    match cli.backend_kind.as_str() {
-        "cpu" => Ok(Backend::Cpu),
-        "gpu" => Ok(Backend::Gpu(match cli.device.as_str() {
-            "" | "k80" => GpuDevice::tesla_k80(),
-            "radeon" => GpuDevice::radeon_hd8750m(),
-            other => return Err(format!("unknown GPU device '{other}'")),
-        })),
-        "fpga" => Ok(Backend::Fpga(match cli.device.as_str() {
-            "" | "alveo" => FpgaDevice::alveo_u200(),
-            "zcu102" => FpgaDevice::zcu102(),
-            other => return Err(format!("unknown FPGA device '{other}'")),
-        })),
-        other => Err(format!("unknown backend '{other}'")),
-    }
+    let kind = BackendKind::from_name(&cli.backend_kind)
+        .ok_or_else(|| format!("unknown backend '{}'", cli.backend_kind))?;
+    make_backend(kind, &cli.device).map_err(|e| e.to_string())
 }
 
 /// Resolves `-backend auto` by pricing the workload on every lane and

@@ -46,7 +46,7 @@ fn gpu_kernels_match_cpu_on_sweep_data() {
     for task in &tasks {
         let reference = task.max_reference().unwrap();
         for kind in [KernelKind::One, KernelKind::Two] {
-            let run = engine.run_task_with(task, kind);
+            let run = engine.run_workload_with(task, kind);
             let got = run.best.unwrap();
             assert_eq!(got.omega, reference.omega);
             assert_eq!(got.left_border, reference.left_border);
@@ -64,7 +64,7 @@ fn fpga_pipelines_match_cpu_on_sweep_data() {
         let engine = FpgaOmegaEngine::new(device);
         for task in &tasks {
             let reference = task.max_reference().unwrap();
-            let run = engine.run_task(task);
+            let run = engine.run_workload(task);
             let got = run.best.unwrap();
             assert_eq!(got.omega, reference.omega);
             assert_eq!(got.left_border, reference.left_border);

@@ -325,3 +325,31 @@ fn trace_to_missing_directory_fails_clearly() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("does not exist"), "stderr: {stderr}");
 }
+
+#[test]
+fn unknown_device_fails_naming_it() {
+    let dir = std::env::temp_dir().join("omegaplus_cli_test_device");
+    std::fs::create_dir_all(&dir).unwrap();
+    let input = dir.join("data.ms");
+    write_dataset(&input);
+    for backend in ["gpu", "fpga"] {
+        let out = bin()
+            .args([
+                "-input",
+                input.to_str().unwrap(),
+                "-length",
+                "80000",
+                "-grid",
+                "5",
+                "-backend",
+                backend,
+                "-device",
+                "nope",
+            ])
+            .output()
+            .unwrap();
+        assert!(!out.status.success(), "-backend {backend} -device nope must fail");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("device") && stderr.contains("nope"), "{backend}: {stderr}");
+    }
+}

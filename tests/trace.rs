@@ -65,7 +65,8 @@ fn gpu_scan_emits_full_trace_and_metrics() {
         })
         .collect();
     // One span from each instrumented layer a GPU run crosses: accel
-    // dispatch, core matrix/ω, and the GPU cost model.
+    // dispatch, core matrix/ω, and the GPU engine recording each priced
+    // position.
     for name in ["accel.detect", "matrix.advance", "omega.kernel", "gpu.estimate"] {
         assert!(span_names.contains(&name), "missing span '{name}' in {span_names:?}");
     }
