@@ -18,8 +18,8 @@
 use std::time::Instant;
 
 use omega_core::{
-    BorderSet, GridPlan, MatrixBuildTiming, OmegaKernel, ParamError, PositionResult, RegionMatrix,
-    ScanParams, ScanStats, Seconds, TaskView,
+    BorderSet, GridPlan, MatrixBuildTiming, OmegaKernel, ParamError, PositionPlan, PositionResult,
+    RegionMatrix, ScanParams, ScanStats, Seconds, TaskView,
 };
 use omega_fpga_sim::{FpgaDevice, FpgaOmegaEngine, FpgaRun, StreamOverlap};
 use omega_genome::Alignment;
@@ -152,8 +152,10 @@ pub struct DetectionOutcome {
     /// Seconds attributed to ω computation (incl. accelerator data
     /// movement where applicable).
     pub omega_seconds: f64,
-    /// Seconds attributed to everything else (matrix DP/relocation on the
-    /// host, planning, packing bookkeeping).
+    /// Seconds attributed to everything else: on the CPU lane, the measured
+    /// wall time not spent in r², DP or ω (planning, border sets, result
+    /// assembly); on the accelerator lanes, the host-side matrix DP plus
+    /// task-packing bookkeeping.
     pub other_seconds: f64,
     /// Seconds the transfer/compute overlap schedule saved relative to a
     /// fully serialized pipeline (0 for the CPU backend or when overlap
@@ -274,8 +276,9 @@ impl SweepDetector {
 
     /// Runs the complete Fig. 3 flow on the configured backend.
     pub fn detect(&self, alignment: &Alignment) -> DetectionOutcome {
+        let started = Instant::now();
         let plan = GridPlan::build(alignment, &self.params);
-        self.detect_with_plan(alignment, &plan)
+        self.detect_planned(alignment, &plan, started)
     }
 
     /// Runs the Fig. 3 flow over a caller-supplied grid plan. The cluster
@@ -284,6 +287,18 @@ impl SweepDetector {
     /// global geometry so results stay bit-identical to a single-node
     /// scan.
     pub fn detect_with_plan(&self, alignment: &Alignment, plan: &GridPlan) -> DetectionOutcome {
+        self.detect_planned(alignment, plan, Instant::now())
+    }
+
+    /// The Fig. 3 flow over `plan`. On the CPU lane, everything measured
+    /// since `started` that is not r², DP or ω — grid planning, border
+    /// sets, result assembly — is charged as `other_seconds`.
+    fn detect_planned(
+        &self,
+        alignment: &Alignment,
+        plan: &GridPlan,
+        started: Instant,
+    ) -> DetectionOutcome {
         let _span = omega_obs::span!("accel.detect");
         omega_obs::counter!("accel.detect.runs").inc();
         omega_obs::counter!("accel.detect.positions").add(plan.len() as u64);
@@ -293,6 +308,7 @@ impl SweepDetector {
         let model = DeviceModel::of(&self.backend);
 
         let mut matrix = RegionMatrix::new();
+        matrix.reserve(plan.positions().iter().map(PositionPlan::width).max().unwrap_or(0));
         let mut kernel = OmegaKernel::new();
         let mut build_timing = MatrixBuildTiming::default();
         let mut stats = ScanStats { positions: plan.len(), ..ScanStats::default() };
@@ -371,12 +387,12 @@ impl SweepDetector {
 
         let mut overlap_hidden_seconds = 0.0f64;
         let (ld_seconds, omega_seconds, other_seconds) = match &self.backend {
-            Backend::Cpu => (
-                build_timing.r2.as_secs_f64() + build_timing.dp.as_secs_f64(),
-                cpu_omega_seconds,
-                0.0,
-            ),
-            // Accelerated systems: the DP update/relocation remains a host
+            Backend::Cpu => {
+                let ld = build_timing.r2.as_secs_f64() + build_timing.dp.as_secs_f64();
+                let wall = started.elapsed().as_secs_f64();
+                (ld, cpu_omega_seconds, (wall - ld - cpu_omega_seconds).max(0.0))
+            }
+            // Accelerated systems: the DP update remains a host
             // task (Fig. 3: the matrix lives host-side), charged as
             // "other". The overlap schedule's saving is applied to the
             // two accelerator stages proportionally, so their sum equals
@@ -447,6 +463,18 @@ mod tests {
 
     fn params() -> ScanParams {
         ScanParams { grid: 12, min_win: 0, max_win: 2_000, min_snps_per_side: 2, threads: 1 }
+    }
+
+    #[test]
+    fn cpu_lane_charges_unaccounted_wall_time_as_other() {
+        let a = random_alignment(400, 24, 9);
+        let detector = SweepDetector::new(params(), Backend::Cpu).unwrap();
+        let t0 = Instant::now();
+        let out = detector.detect(&a);
+        let wall = t0.elapsed().as_secs_f64();
+        assert!(out.stats.scorable_positions > 0);
+        assert!(out.other_seconds > 0.0, "planning and border sets take time");
+        assert!(out.total_seconds() <= wall, "{} s charged in {wall} s", out.total_seconds());
     }
 
     #[test]

@@ -87,7 +87,7 @@ pub struct Prediction {
     pub fpga_seconds: f64,
     /// ω scores the job will evaluate.
     pub omega_scores: u64,
-    /// Fresh r² pairs the job will compute (after matrix relocation).
+    /// Fresh r² pairs the job will compute (after matrix reuse).
     pub r2_pairs: u64,
 }
 

@@ -15,7 +15,7 @@
 //!
 //! The only quantities that move are the matrix-reuse counters: the
 //! first position of a shard rebuilds its matrix from scratch, so pairs
-//! the single-node scan *relocated* are *recomputed* by the shard. That
+//! the single-node scan *reused* are *recomputed* by the shard. That
 //! is exactly the seam-loss model the multithreaded scan already uses
 //! ([`omega_core::seam_loss`]): cutting the grid between consecutive
 //! advancing positions forfeits one chain edge. [`partition`] accounts
@@ -81,7 +81,7 @@ pub struct Partition {
     pub grid: usize,
     /// Contiguous shards, ascending, covering every grid index once.
     pub shards: Vec<ShardPart>,
-    /// Matrix cells whose relocation the shard cuts forfeit — the exact
+    /// Matrix cells whose reuse the shard cuts forfeit — the exact
     /// correction [`merge_outcomes`] applies to the reuse counters.
     pub broken_reuse: u64,
 }
@@ -228,7 +228,7 @@ pub fn merge_outcomes(
         merged.transfer_seconds += o.transfer_seconds;
         merged.stats.accumulate(&o.stats);
     }
-    // Pairs the shards recomputed at broken seams were relocations in
+    // Pairs the shards recomputed at broken seams were reused cells in
     // the single-node scan.
     merged.stats.r2_pairs = merged.stats.r2_pairs.saturating_sub(broken_reuse);
     merged.stats.cells_reused += broken_reuse;

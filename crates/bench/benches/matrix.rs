@@ -1,4 +1,4 @@
-//! Matrix M benchmarks: full build vs data-reuse relocation (the
+//! Matrix M benchmarks: full build vs in-place data reuse (the
 //! optimization Fig. 3 highlights).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
@@ -34,8 +34,8 @@ fn bench_advance_reuse(c: &mut Criterion) {
     group.bench_function(BenchmarkId::from_parameter(format!("{width}w_{shift}s")), |b| {
         let mut t = MatrixBuildTiming::default();
         b.iter(|| {
-            // Alternate between two overlapping windows so every
-            // iteration pays one relocation of the shared cells.
+            // Build one window, then advance to an overlapping one that
+            // reuses the shared cells in place.
             let mut m = RegionMatrix::new();
             m.rebuild(&a, 0, width, &mut t);
             let s = m.advance(&a, shift, shift + width, &mut t);

@@ -40,7 +40,7 @@ fn bench_parallel_scan(c: &mut Criterion) {
 
 /// Ablation: the data-reuse optimization (Fig. 3) vs a fresh matrix per
 /// position — rebuilding M from scratch at every grid position disables
-/// relocation while computing the identical result.
+/// reuse while computing the identical result.
 fn bench_reuse_ablation(c: &mut Criterion) {
     use omega_core::{omega_max, BorderSet, MatrixBuildTiming, RegionMatrix};
 

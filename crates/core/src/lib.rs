@@ -6,8 +6,9 @@
 //!
 //! 1. ω positions are placed equidistantly along the region ([`GridPlan`]);
 //! 2. for each position, the dynamic-programming matrix M of all r²
-//!    range sums is built — or *relocated* from the previous overlapping
-//!    window, OmegaPlus' data-reuse optimization ([`RegionMatrix`]);
+//!    range sums is built — reusing, in place, the cells it shares with
+//!    the previous overlapping window, OmegaPlus' data-reuse optimization
+//!    ([`RegionMatrix`]);
 //! 3. the ω statistic (Kim & Nielsen 2004) is maximised over every valid
 //!    left/right subwindow combination ([`omega::omega_max`]);
 //! 4. results are aggregated into a report with sweep calling

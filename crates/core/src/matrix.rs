@@ -1,6 +1,6 @@
 //! The dynamic-programming matrix M of Eq. 3: all possible sums of r²
-//! values over consecutive site ranges, with the data-reuse relocation
-//! OmegaPlus applies when consecutive grid-position windows overlap.
+//! values over consecutive site ranges, with the data reuse OmegaPlus
+//! applies when consecutive grid-position windows overlap.
 //!
 //! For window-relative sites `j < i`, entry `M(i, j)` holds
 //! `Σ r²(a, b)` over all pairs `j ≤ b < a ≤ i`, built by the recurrence
@@ -11,9 +11,12 @@
 //! M(i, j)   = M(i, j+1) + M(i-1, j) − M(i-1, j+1) + r²(i, j)
 //! ```
 //!
-//! Storage is column-major over the strict lower triangle, the layout the
-//! paper's FPGA accelerator assumes ("we store matrix M in a column-major
-//! order since we need two columns per iteration of i", §V).
+//! Storage is column-major, the layout the paper's FPGA accelerator
+//! assumes ("we store matrix M in a column-major order since we need two
+//! columns per iteration of i", §V). Columns live in a ring of slots keyed
+//! by *absolute* site: a cell's value depends only on its two absolute
+//! sites, never on the window, so moving the window moves an offset and
+//! every reused cell is already in place.
 
 use std::ops::Range;
 use std::time::{Duration, Instant};
@@ -21,19 +24,23 @@ use std::time::{Duration, Instant};
 use omega_genome::Alignment;
 use omega_ld::r2_row;
 
+/// Rows the Eq. 3 wavefront advances together: four independent
+/// floating-point chains in flight instead of one.
+const WAVE: usize = 4;
+
 /// Cost counters for one matrix build/advance.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MatrixBuildStats {
     /// r² pairs computed fresh for this window.
     pub new_pairs: u64,
-    /// Matrix cells relocated from the previous window (pairs *not*
+    /// Matrix cells reused in place from the previous window (pairs *not*
     /// recomputed thanks to the data-reuse optimization).
     pub reused_cells: u64,
 }
 
 /// What moving the matrix window from sites `prev` to sites `next`
 /// (absolute alignment indices) costs: the overlap
-/// [`RegionMatrix::advance`] relocates, and the exact stats of the move —
+/// [`RegionMatrix::advance`] reuses, and the exact stats of the move —
 /// `C(overlap, 2)` cells reused, the window's other `C(n, 2) − reused`
 /// pairs computed fresh. Overlap only exists when `next` starts inside
 /// `prev`, at or after its start (grid positions move right). Pure, so
@@ -65,7 +72,8 @@ pub struct MatrixBuildTiming {
     /// Time spent computing r² values (popcount-bound, scales with sample
     /// count) — the paper's "LD computation".
     pub r2: Duration,
-    /// Time spent in the Eq. 3 recurrence and relocation.
+    /// Time spent in the Eq. 3 recurrence (and in growing the ring, when
+    /// a window outgrows it).
     pub dp: Duration,
 }
 
@@ -75,13 +83,16 @@ pub struct MatrixBuildTiming {
 pub struct RegionMatrix {
     lo: usize,
     n: usize,
-    /// Column-major strict lower triangle: column `j` holds rows
-    /// `j+1..n`, so its length is `n-1-j`.
+    /// Column slots of the ring; windows up to `cap` sites wide fit.
+    cap: usize,
+    /// Ring of `cap` column slots, [`slot_stride`] cells apart: absolute
+    /// site `b` owns slot `b % cap`, whose first cells hold
+    /// `M(b+1, b), M(b+2, b), ...` in row order.
     data: Vec<f32>,
-    /// Spare buffer ping-ponged with `data` during relocation.
-    spare: Vec<f32>,
-    /// Scratch row of r² values reused across DP row passes.
-    r2_scratch: Vec<f32>,
+    /// Start in `data` of each window column `j < n` (slot of `lo + j`).
+    col: Vec<usize>,
+    /// r² rows of one wavefront block, row `t` staged at `t * cap`.
+    r2_stage: Vec<f32>,
 }
 
 impl Default for RegionMatrix {
@@ -91,9 +102,16 @@ impl Default for RegionMatrix {
 }
 
 impl RegionMatrix {
-    /// An empty matrix (no window).
+    /// An empty matrix (no window, no ring).
     pub fn new() -> Self {
-        RegionMatrix { lo: 0, n: 0, data: Vec::new(), spare: Vec::new(), r2_scratch: Vec::new() }
+        RegionMatrix {
+            lo: 0,
+            n: 0,
+            cap: 0,
+            data: Vec::new(),
+            col: Vec::new(),
+            r2_stage: Vec::new(),
+        }
     }
 
     /// Absolute index of the first window site.
@@ -108,15 +126,50 @@ impl RegionMatrix {
         self.n
     }
 
-    #[inline]
-    fn offset(n: usize, j: usize) -> usize {
-        j * (n - 1) - j * j.saturating_sub(1) / 2
+    /// Sizes the ring for windows up to `max_width` sites, keeping the
+    /// current window. A scan calls this once with its plan's widest
+    /// window, so no later [`RegionMatrix::advance`] allocates or copies.
+    pub fn reserve(&mut self, max_width: usize) {
+        if max_width > self.cap {
+            self.grow(max_width, self.lo, self.n);
+            self.place(self.lo, self.n);
+        }
     }
 
-    #[inline]
-    fn idx(&self, i: usize, j: usize) -> usize {
-        debug_assert!(j < i && i < self.n);
-        Self::offset(self.n, j) + (i - j - 1)
+    /// Makes `lo..lo + n` the window, pointing each window column at its
+    /// site's slot.
+    fn place(&mut self, lo: usize, n: usize) {
+        self.lo = lo;
+        self.n = n;
+        if n == 0 {
+            return;
+        }
+        let stride = slot_stride(self.cap);
+        let mut slot = lo % self.cap;
+        for c in &mut self.col[..n] {
+            *c = slot * stride;
+            slot = if slot + 1 == self.cap { 0 } else { slot + 1 };
+        }
+    }
+
+    /// Replaces the ring with one of `cap` slots, carrying over the cells
+    /// of sites `keep_lo..keep_lo + keep_n`. With nothing to carry, the
+    /// old ring is freed before the new one is allocated.
+    fn grow(&mut self, cap: usize, keep_lo: usize, keep_n: usize) {
+        if keep_n < 2 {
+            self.data = Vec::new();
+        }
+        let (old, new) = (slot_stride(self.cap), slot_stride(cap));
+        let mut data = vec![0.0; cap * new];
+        for b in keep_lo..(keep_lo + keep_n).saturating_sub(1) {
+            let len = keep_lo + keep_n - 1 - b; // rows b+1..keep_lo+keep_n
+            let (src, dst) = ((b % self.cap) * old, (b % cap) * new);
+            data[dst..dst + len].copy_from_slice(&self.data[src..src + len]);
+        }
+        self.data = data;
+        self.cap = cap;
+        self.col.resize(cap, 0);
+        self.r2_stage.resize(WAVE * cap, 0.0);
     }
 
     /// Sum of r² over all pairs within the window-relative inclusive site
@@ -126,14 +179,15 @@ impl RegionMatrix {
         if i <= j {
             return 0.0;
         }
-        self.data[self.idx(i, j)]
+        debug_assert!(i < self.n);
+        self.data[self.col[j] + (i - j - 1)]
     }
 
     /// Column `j` of the strict lower triangle: entries
     /// `M(j+1, j), M(j+2, j), ..., M(n-1, j)` — the FPGA fetch unit reads
     /// these slices directly.
     pub fn column(&self, j: usize) -> &[f32] {
-        let off = Self::offset(self.n, j);
+        let off = self.col[j];
         &self.data[off..off + (self.n - 1 - j)]
     }
 
@@ -142,18 +196,18 @@ impl RegionMatrix {
     ///
     /// Because storage is column-major, every per-left-border `TS` row and
     /// the shared `RS` table of the ω kernel are exactly such runs; the
-    /// vectorized kernel streams them without any per-cell `idx()`
+    /// vectorized kernel streams them without any per-cell index
     /// arithmetic (the layout the paper's FPGA fetch unit assumes, §V).
     #[inline]
     pub fn column_span(&self, j: usize, i_lo: usize, i_hi: usize) -> &[f32] {
         debug_assert!(j < i_lo && i_lo <= i_hi && i_hi < self.n);
-        let off = Self::offset(self.n, j) + (i_lo - j - 1);
+        let off = self.col[j] + (i_lo - j - 1);
         &self.data[off..off + (i_hi - i_lo + 1)]
     }
 
-    /// Moves the window to absolute sites `lo..hi`, reusing every cell
-    /// whose site pair is shared with the current window and computing
-    /// fresh r² values (plus the DP recurrence) for the remainder.
+    /// Moves the window to absolute sites `lo..hi`. Every cell whose site
+    /// pair is shared with the current window is reused where it lies;
+    /// fresh r² values (plus the DP recurrence) fill the remainder.
     /// Returns the reuse statistics; timing is accumulated into `timing`.
     pub fn advance(
         &mut self,
@@ -165,59 +219,93 @@ impl RegionMatrix {
         assert!(hi >= lo && hi <= alignment.n_sites(), "window out of bounds");
         let _span = omega_obs::span!("matrix.advance");
         let n = hi - lo;
-        let old_lo = self.lo;
-        let (overlap, stats) = window_step(old_lo..old_lo + self.n, lo..hi);
+        let (overlap, stats) = window_step(self.lo..self.lo + self.n, lo..hi);
 
-        let dp_start = Instant::now();
-        self.spare.clear();
-        self.spare.resize(tri_len(n), 0.0);
-        if overlap >= 2 {
-            let s = lo - old_lo;
-            for jn in 0..overlap - 1 {
-                let jo = jn + s;
-                let keep = overlap - 1 - jn; // rows jn+1..overlap
-                let src = Self::offset(self.n, jo);
-                let dst = Self::offset(n, jn);
-                self.spare[dst..dst + keep].copy_from_slice(&self.data[src..src + keep]);
-            }
+        if n > self.cap {
+            let grow_start = Instant::now();
+            self.grow(n, lo, overlap);
+            timing.dp += grow_start.elapsed();
         }
-        std::mem::swap(&mut self.data, &mut self.spare);
-        self.lo = lo;
-        self.n = n;
-        timing.dp += dp_start.elapsed();
+        self.place(lo, n);
 
-        // Fresh rows: every window site at or past the overlap.
-        self.r2_scratch.resize(n.saturating_sub(1).max(1), 0.0);
-        for i in overlap.max(1)..n {
+        // Fresh rows: every window site at or past the overlap, staged and
+        // swept `WAVE` rows at a time.
+        let sites = &alignment.sites()[lo..hi];
+        let cap = self.cap;
+        let mut i0 = overlap.max(1);
+        while i0 < n {
+            let rows = WAVE.min(n - i0);
             let r2_start = Instant::now();
-            let row_site = &alignment.sites()[lo + i];
-            let (scratch, _) = self.r2_scratch.split_at_mut(i);
-            r2_row(row_site, &alignment.sites()[lo..lo + i], scratch);
+            for t in 0..rows {
+                let i = i0 + t;
+                r2_row(&sites[i], &sites[..i], &mut self.r2_stage[t * cap..t * cap + i]);
+            }
             timing.r2 += r2_start.elapsed();
 
             let dp_start = Instant::now();
-            self.dp_row_pass(i);
+            if rows == WAVE && i0 >= 2 {
+                self.wavefront(i0);
+            } else {
+                for t in 0..rows {
+                    let i = i0 + t;
+                    let r2 = &self.r2_stage[t * cap..t * cap + i];
+                    self.data[self.col[i - 1]] = r2[i - 1];
+                    finish_row(&mut self.data, &self.col, r2, i, i - 1, r2[i - 1]);
+                }
+            }
             timing.dp += dp_start.elapsed();
+            i0 += rows;
         }
         omega_obs::counter!("matrix.r2_pairs").add(stats.new_pairs);
         omega_obs::counter!("matrix.cells_reused").add(stats.reused_cells);
         stats
     }
 
-    /// Applies the Eq. 3 recurrence along row `i`, consuming the r² values
-    /// already staged in `r2_scratch[..i]`.
-    fn dp_row_pass(&mut self, i: usize) {
-        let r2 = &self.r2_scratch[..i];
-        // M(i, i-1) = r²(i, i-1).
-        let idx_last = self.idx(i, i - 1);
-        self.data[idx_last] = r2[i - 1];
-        for j in (0..i - 1).rev() {
-            let m_i_j1 = self.data[self.idx(i, j + 1)];
-            let m_im1_j = self.data[self.idx(i - 1, j)];
-            let m_im1_j1 = if j + 1 == i - 1 { 0.0 } else { self.data[self.idx(i - 1, j + 1)] };
-            let v = m_i_j1 + m_im1_j - m_im1_j1 + r2[j];
-            let idx = self.idx(i, j);
-            self.data[idx] = v;
+    /// Applies Eq. 3 to rows `i0..i0 + WAVE` (r² staged, `i0 ≥ 2`, row
+    /// `i0 − 1` complete) as a skewed wavefront: at step `s`, row
+    /// `i0 + t` computes column `i0 + t − 2 − s`, the column row
+    /// `i0 + t − 1` finished one step earlier. Each row's running
+    /// `M(i, j+1)`, and the previous row's last two outputs, stay in
+    /// registers, so a step reads one cell of row `i0 − 1` and `WAVE`
+    /// staged r² values. Every cell is the same
+    /// `((M(i,j+1) + M(i−1,j)) − M(i−1,j+1)) + r²(i,j)` the one-row pass
+    /// computes.
+    // Not inlined: inside `advance` the carried rows spill to the stack,
+    // which puts a store-load on every step's dependency chain.
+    #[inline(never)]
+    fn wavefront(&mut self, i0: usize) {
+        let RegionMatrix { cap, data, col, r2_stage, .. } = self;
+        let cap = *cap;
+        let r2: [&[f32]; WAVE] = std::array::from_fn(|t| &r2_stage[t * cap..t * cap + i0 + t]);
+        // last[t] = row t's newest output, starting at M(i, i−1) = r²(i, i−1).
+        let mut last: [f32; WAVE] = std::array::from_fn(|t| r2[t][i0 + t - 1]);
+        for (t, &v) in last.iter().enumerate() {
+            data[col[i0 + t - 1]] = v;
+        }
+        // Step s touches columns j0..j0 + WAVE, j0 = i0 − 2 − s; row t's
+        // r² for its column is skew[t][j0].
+        let steps = i0 - 1;
+        let skew: [&[f32]; WAVE] = std::array::from_fn(|t| &r2[t][t..t + steps]);
+        let cols = &col[..steps + WAVE - 1];
+        // above[t] = M(i − 1, j) for row t's column j: row i0 − 1's cell
+        // from memory for t = 0, else row t − 1's newest output. A step's
+        // above is the next step's M(i − 1, j + 1); M(i − 1, i − 1) = 0.
+        let mut above_prev = [0.0f32; WAVE];
+        for (s, j0) in (0..steps).zip((0..steps).rev()) {
+            let c = &cols[j0..j0 + WAVE];
+            let up = data[c[0] + s];
+            let above: [f32; WAVE] = std::array::from_fn(|t| if t == 0 { up } else { last[t - 1] });
+            let next: [f32; WAVE] =
+                std::array::from_fn(|t| last[t] + above[t] - above_prev[t] + skew[t][j0]);
+            for (&c, &v) in c.iter().zip(&next) {
+                data[c + s + 1] = v;
+            }
+            above_prev = above;
+            last = next;
+        }
+        // Row i0 is done; row i0 + t still owes columns t−1..0.
+        for t in 1..WAVE {
+            finish_row(data, col, r2[t], i0 + t, t, last[t]);
         }
     }
 
@@ -232,8 +320,27 @@ impl RegionMatrix {
     ) -> MatrixBuildStats {
         self.lo = 0;
         self.n = 0;
-        self.data.clear();
         self.advance(alignment, lo, hi, timing)
+    }
+}
+
+/// Cells between the starts of neighbouring column slots: at least `cap`,
+/// rounded to an odd number of 64-byte lines, so the columns a wavefront
+/// step writes fall in different cache sets even when `cap` is a power of
+/// two.
+fn slot_stride(cap: usize) -> usize {
+    (cap.div_ceil(16) | 1) * 16
+}
+
+/// The one-row Eq. 3 pass: given `run = M(i, from)`, fills row `i` from
+/// column `from − 1` down to 0, reading the complete row `i − 1`.
+/// `M(i−1, i−1)` enters as 0.
+fn finish_row(data: &mut [f32], col: &[usize], r2: &[f32], i: usize, from: usize, mut run: f32) {
+    for j in (0..from).rev() {
+        let up = data[col[j] + (i - 2 - j)];
+        let up_right = if j + 1 == i - 1 { 0.0 } else { data[col[j + 1] + (i - 3 - j)] };
+        run = run + up - up_right + r2[j];
+        data[col[j] + (i - 1 - j)] = run;
     }
 }
 
@@ -257,6 +364,55 @@ mod tests {
             .collect();
         let positions: Vec<u64> = (0..n_sites as u64).map(|i| 10 * (i + 1)).collect();
         Alignment::new(positions, sites, 10 * n_sites as u64 + 10).unwrap()
+    }
+
+    /// Start of column `j` in a packed column-major strict lower triangle
+    /// of `n` sites.
+    fn offset(n: usize, j: usize) -> usize {
+        j * (n - 1) - j * j.saturating_sub(1) / 2
+    }
+
+    /// The one-row Eq. 3 pass along row `i` of a packed `n`-site
+    /// triangle, consuming `r2[..i]`.
+    fn dp_row_pass(data: &mut [f32], n: usize, r2: &[f32], i: usize) {
+        let idx = |i: usize, j: usize| offset(n, j) + (i - j - 1);
+        data[idx(i, i - 1)] = r2[i - 1];
+        for j in (0..i - 1).rev() {
+            let m_i_j1 = data[idx(i, j + 1)];
+            let m_im1_j = data[idx(i - 1, j)];
+            let m_im1_j1 = if j + 1 == i - 1 { 0.0 } else { data[idx(i - 1, j + 1)] };
+            data[idx(i, j)] = m_i_j1 + m_im1_j - m_im1_j1 + r2[j];
+        }
+    }
+
+    /// Oracle: window `lo..hi` built row by row with the one-row pass over
+    /// a fresh packed triangle. Returns `M(i, j)` for window-relative
+    /// `j < i`.
+    pub(super) fn oracle(a: &Alignment, lo: usize, hi: usize) -> impl Fn(usize, usize) -> f32 {
+        let n = hi - lo;
+        let mut data = vec![0.0f32; n * n.saturating_sub(1) / 2];
+        let mut r2 = vec![0.0f32; n];
+        for i in 1..n {
+            r2_row(&a.sites()[lo + i], &a.sites()[lo..lo + i], &mut r2[..i]);
+            dp_row_pass(&mut data, n, &r2, i);
+        }
+        move |i, j| data[offset(n, j) + (i - j - 1)]
+    }
+
+    /// Every cell of `m` equals the oracle's bit for bit.
+    pub(super) fn assert_bits_match_oracle(m: &RegionMatrix, a: &Alignment) {
+        let want = oracle(a, m.lo(), m.lo() + m.width());
+        for j in 0..m.width() {
+            for i in j + 1..m.width() {
+                assert_eq!(
+                    m.sum(j, i).to_bits(),
+                    want(i, j).to_bits(),
+                    "M({i},{j}) of window {}..{}",
+                    m.lo(),
+                    m.lo() + m.width()
+                );
+            }
+        }
     }
 
     /// O(range²) reference: direct double sum of r² in f64.
@@ -291,6 +447,7 @@ mod tests {
         assert_eq!(stats.new_pairs, 66);
         assert_eq!(stats.reused_cells, 0);
         assert_matches_naive(&m, &a);
+        assert_bits_match_oracle(&m, &a);
     }
 
     #[test]
@@ -312,15 +469,14 @@ mod tests {
         let mut reused = RegionMatrix::new();
         reused.rebuild(&a, 0, 15, &mut t);
         let stats = reused.advance(&a, 5, 22, &mut t);
-        assert!(stats.reused_cells > 0, "expected relocation to fire");
+        assert!(stats.reused_cells > 0, "expected reuse to fire");
 
         let mut fresh = RegionMatrix::new();
         fresh.rebuild(&a, 5, 22, &mut t);
 
         for j in 0..reused.width() {
             for i in j + 1..reused.width() {
-                let d = (reused.sum(j, i) - fresh.sum(j, i)).abs();
-                assert!(d <= 1e-3 * fresh.sum(j, i).abs().max(1.0), "cell ({i},{j})");
+                assert_eq!(reused.sum(j, i).to_bits(), fresh.sum(j, i).to_bits(), "cell ({i},{j})");
             }
         }
         assert_matches_naive(&reused, &a);
@@ -437,10 +593,62 @@ mod tests {
         assert_eq!(stats.reused_cells, 0);
         assert_matches_naive(&m, &a);
     }
+
+    #[test]
+    fn reserve_keeps_the_window_and_stops_growth() {
+        let a = random_alignment(60, 20, 12);
+        let mut t = MatrixBuildTiming::default();
+        let mut m = RegionMatrix::new();
+        m.rebuild(&a, 3, 10, &mut t);
+        m.reserve(13);
+        assert_eq!((m.lo(), m.width(), m.cap), (3, 7, 13));
+        assert_bits_match_oracle(&m, &a);
+        let ring = m.data.as_ptr();
+        for lo in 4..47 {
+            m.advance(&a, lo, lo + 7 + lo % 7, &mut t);
+            assert_bits_match_oracle(&m, &a);
+        }
+        assert_eq!(m.data.as_ptr(), ring, "a reserved ring is never replaced");
+    }
+
+    #[test]
+    fn scripted_walk_covers_every_ring_case() {
+        let a = random_alignment(64, 20, 13);
+        let mut t = MatrixBuildTiming::default();
+        let mut m = RegionMatrix::new();
+        let mut wrapped = false;
+        let walk: &[(usize, usize)] = &[
+            (0, 0),   // width 0
+            (0, 1),   // width 1
+            (0, 2),   // width 2: one fresh row, below WAVE
+            (0, 3),   // grows with overlap, one fresh row
+            (0, 4),   // width == WAVE
+            (1, 11),  // grows with overlap, 7 fresh rows (one block + 3)
+            (3, 9),   // shrinks on both sides: nothing fresh
+            (20, 26), // disjoint jump, no growth
+            (22, 39), // grows with overlap past a multiple of WAVE
+            (30, 49), // slides right, wrapping the ring
+            (35, 52),
+            (41, 58),
+            (10, 14), // moves left
+            (45, 64), // disjoint jump at full width
+            (0, 30),  // grows with nothing reused
+            (2, 32),
+        ];
+        for &(lo, hi) in walk {
+            let prev = m.lo()..m.lo() + m.width();
+            let stats = m.advance(&a, lo, hi, &mut t);
+            assert_eq!(stats, window_step(prev, lo..hi).1);
+            wrapped |= m.cap > 0 && lo % m.cap + (hi - lo) > m.cap;
+            assert_bits_match_oracle(&m, &a);
+        }
+        assert!(wrapped, "the walk must wrap the ring");
+    }
 }
 
 #[cfg(test)]
 mod proptests {
+    use super::tests::assert_bits_match_oracle;
     use super::*;
     use omega_genome::{Alignment, SnpVec};
     use proptest::prelude::*;
@@ -519,9 +727,32 @@ mod proptests {
 
             for j in 0..m.width() {
                 for i in j + 1..m.width() {
-                    let d = (m.sum(j, i) - fresh.sum(j, i)).abs();
-                    prop_assert!(d <= 1e-3 * fresh.sum(j, i).abs().max(1.0));
+                    prop_assert_eq!(m.sum(j, i).to_bits(), fresh.sum(j, i).to_bits());
                 }
+            }
+        }
+
+        // Random walks — slides that wrap the ring, growth with and
+        // without overlap, shrinks, left moves, disjoint jumps, widths
+        // 0..=15 around WAVE, optionally on a ring reserved up front —
+        // leave every cell bit-identical to the one-row oracle.
+        #[test]
+        fn window_walk_cells_equal_one_row_oracle(
+            seed in 0u64..1000,
+            reserve in 0usize..16,
+            walk in proptest::collection::vec((0u8..2, 0usize..8, 0usize..16), 1..16),
+        ) {
+            let a = alignment_from_seed(48, seed);
+            let mut t = MatrixBuildTiming::default();
+            let mut m = RegionMatrix::new();
+            m.reserve(reserve);
+            for (slide, step, len) in walk {
+                let lo = if slide == 1 { (m.lo() + step).min(47) } else { step * 6 };
+                let hi = (lo + len).min(48);
+                let prev = m.lo()..m.lo() + m.width();
+                let stats = m.advance(&a, lo, hi, &mut t);
+                prop_assert_eq!(stats, window_step(prev, lo..hi).1);
+                assert_bits_match_oracle(&m, &a);
             }
         }
     }

@@ -4,7 +4,7 @@
 //! Grid positions are partitioned into *runs* of consecutive positions
 //! that workers pull from a shared queue. Each run keeps the matrix
 //! data-reuse optimization ([`crate::matrix::RegionMatrix::advance`])
-//! inside itself; relocation is only forfeited at run seams, because each
+//! inside itself; reuse is only forfeited at run seams, because each
 //! run starts with a fresh matrix. The planner therefore cuts the grid
 //! where it costs the least:
 //!
@@ -12,16 +12,16 @@
 //!   would be fully rebuilt there anyway — and are always cut;
 //! * if free cuts alone leave too few runs to keep the queue busy
 //!   (fewer than `threads ×` [`RUNS_PER_WORKER`]), the planner adds paid
-//!   cuts cheapest-first (by predicted relocated-cell loss), but never
+//!   cuts cheapest-first (by predicted reused-cell loss), but never
 //!   spends more than [`SEAM_LOSS_BUDGET_PCT`] percent of the total
 //!   predicted reuse — so small grids on many threads sacrifice at most a
-//!   sliver of the relocation savings for load balance.
+//!   sliver of the reuse savings for load balance.
 //!
 //! Workers pull run indices from an atomic queue instead of owning a
 //! fixed contiguous chunk: a worker that finishes early steals the next
 //! pending run, so skew from uneven SNP density self-balances. The pull
 //! count beyond each worker's first run is surfaced as `scan.steals`, and
-//! the relocation given up at seams as `scan.reuse_lost_at_seams`
+//! the reuse given up at seams as `scan.reuse_lost_at_seams`
 //! (`cells_reused + reuse_lost_at_seams` equals the sequential scan's
 //! `cells_reused` when every position is scorable).
 //!
@@ -48,7 +48,7 @@ use crate::scan::{scan_positions, OmegaScanner, ScanOutcome};
 /// has slack to balance uneven positions.
 const RUNS_PER_WORKER: usize = 4;
 
-/// Ceiling on the predicted relocated cells the planner may sacrifice at
+/// Ceiling on the predicted reused cells the planner may sacrifice at
 /// paid seams, as a percentage of the total predicted reuse.
 const SEAM_LOSS_BUDGET_PCT: u64 = 8;
 
@@ -109,8 +109,8 @@ impl RunQueue {
     }
 }
 
-/// Predicted relocation between two matrix-advancing positions: the cells
-/// [`crate::matrix::RegionMatrix::advance`] relocates when it moves from
+/// Predicted reuse between two matrix-advancing positions: the cells
+/// [`crate::matrix::RegionMatrix::advance`] reuses when it moves from
 /// `prev`'s window to `cur`'s ([`crate::matrix::window_step`]'s reused
 /// cells). Public because the cluster shard planner accounts the same
 /// loss at shard boundaries to keep merged stats exact.
@@ -120,11 +120,11 @@ pub fn seam_loss(prev: &PositionPlan, cur: &PositionPlan) -> u64 {
 
 /// Partitions the grid into runs. `advances[i]` says whether position `i`
 /// advances the matrix (scorable with at least one combination) — only
-/// those positions carry relocation, so predicted reuse lives on the
+/// those positions carry reuse, so predicted reuse lives on the
 /// *chain edges* between consecutive advancing positions, and a cut
 /// forfeits exactly the one edge that spans it. Returns the runs
 /// (ascending, covering every position exactly once) and the total
-/// predicted relocation lost at the chosen seams — exact with respect to
+/// predicted reuse lost at the chosen seams — exact with respect to
 /// the sequential scan by construction.
 fn plan_runs(plans: &[PositionPlan], advances: &[bool], workers: usize) -> (Vec<Run>, u64) {
     let n = plans.len();
@@ -148,7 +148,7 @@ fn plan_runs(plans: &[PositionPlan], advances: &[bool], workers: usize) -> (Vec<
     }
 
     // Free boundaries — spanned by no edge, or by an edge with nothing to
-    // relocate — are always cut: the matrix restarts there anyway.
+    // reuse — are always cut: the matrix restarts there anyway.
     let mut cut = vec![false; n]; // cut[i]: start a new run at position i
     let mut n_runs = 1;
     for i in 1..n {
@@ -161,7 +161,7 @@ fn plan_runs(plans: &[PositionPlan], advances: &[bool], workers: usize) -> (Vec<
     // Paid cuts, cheapest edge first, to keep the steal queue deep enough
     // — but only when there is someone to steal, and never beyond the
     // seam-loss budget. Cutting at `q` (the advancing position that will
-    // rebuild) forfeits exactly that edge's relocation.
+    // rebuild) forfeits exactly that edge's reuse.
     let mut lost = 0u64;
     if workers > 1 {
         let desired = n.min(workers * RUNS_PER_WORKER);
@@ -338,7 +338,7 @@ mod tests {
             assert_eq!(s.omega, p.omega, "identical chunking must be bitwise equal");
         }
         // One worker never pays for cuts: every seam the planner took was
-        // free, so no relocation was forfeited.
+        // free, so no reuse was forfeited.
         assert_eq!(par.stats.reuse_lost_at_seams, 0);
         assert_eq!(par.stats.cells_reused, seq.stats.cells_reused);
     }
@@ -358,8 +358,8 @@ mod tests {
     }
 
     /// Acceptance: at 8 threads on a dense overlapping grid, the planner
-    /// preserves at least 90 % of the sequential scan's relocated cells,
-    /// and its seam accounting is exact — every cell is either relocated
+    /// preserves at least 90 % of the sequential scan's reused cells,
+    /// and its seam accounting is exact — every cell is either reused
     /// or attributed to a seam.
     #[test]
     fn eight_thread_scan_preserves_reuse() {

@@ -13,7 +13,7 @@ use std::time::Duration;
 pub struct Timings {
     /// Time in r² computation (popcount kernels; scales with samples).
     pub r2: Duration,
-    /// Time in the Eq. 3 recurrence and matrix relocation.
+    /// Time in the Eq. 3 recurrence (and matrix ring growth, if any).
     pub dp: Duration,
     /// Time in the ω maximisation loop (scales with SNP density).
     pub omega: Duration,
@@ -83,11 +83,12 @@ pub struct ScanStats {
     pub omega_evaluations: u64,
     /// Fresh r² pairs computed (the unit of LD throughput).
     pub r2_pairs: u64,
-    /// Matrix cells relocated instead of recomputed (data-reuse savings).
+    /// Matrix cells reused in place instead of recomputed (data-reuse
+    /// savings).
     pub cells_reused: u64,
     /// Parallel-scan runs a worker pulled beyond its first (work stealing).
     pub steals: u64,
-    /// Matrix cells whose relocation was forfeited because the scheduler
+    /// Matrix cells whose reuse was forfeited because the scheduler
     /// cut the grid between two overlapping windows (each run starts with
     /// a fresh matrix). `cells_reused + reuse_lost_at_seams` equals the
     /// sequential scan's `cells_reused`.

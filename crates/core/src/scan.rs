@@ -88,6 +88,7 @@ pub(crate) fn scan_positions(
     plans: &[PositionPlan],
 ) -> (Vec<PositionResult>, Timings, ScanStats) {
     let mut matrix = RegionMatrix::new();
+    matrix.reserve(plans.iter().map(PositionPlan::width).max().unwrap_or(0));
     let mut kernel = OmegaKernel::new();
     let mut build_timing = MatrixBuildTiming::default();
     let mut timings = Timings::default();
@@ -200,7 +201,7 @@ mod tests {
         let a = random_alignment(120, 16, 4);
         let scanner = OmegaScanner::new(params(30)).unwrap();
         let out = scanner.scan(&a);
-        assert!(out.stats.cells_reused > 0, "overlapping windows must relocate cells");
+        assert!(out.stats.cells_reused > 0, "overlapping windows must reuse cells");
     }
 
     #[test]

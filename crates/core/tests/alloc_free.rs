@@ -1,14 +1,16 @@
-//! Counting-allocator harness proving the ω kernel hot path performs no
-//! heap allocation after warm-up.
+//! Counting-allocator harness proving the ω kernel hot path and the
+//! matrix walk perform no heap allocation after warm-up.
 //!
 //! The whole test binary runs under a `#[global_allocator]` that counts
 //! `alloc`/`realloc` calls. One warm-up `OmegaKernel::run` on the widest
 //! workload grows the scratch tables and registers the obs span/counter
 //! handles (both cached in `OnceLock`s); every subsequent per-position
 //! evaluation — including narrower positions that reuse the scratch —
-//! must then leave the allocation counter untouched. This is the CI
-//! backstop for the "no allocation in the inner loop" claim in
-//! `kernel.rs` and DESIGN.md.
+//! must then leave the allocation counter untouched. Likewise, once a
+//! `RegionMatrix` ring is sized for the widest window, a sliding
+//! `advance` walk moves an offset and allocates nothing. This is the CI
+//! backstop for the "no allocation in the inner loop" and "zero-copy
+//! reuse" claims in `kernel.rs`, `matrix.rs` and DESIGN.md.
 //!
 //! Single `#[test]` on purpose: the allocation counter is process-global,
 //! and a sibling test allocating concurrently would make it flaky.
@@ -105,4 +107,21 @@ fn kernel_hot_path_is_allocation_free_after_warmup() {
         "kernel hot path allocated {} time(s) after warm-up",
         after - before
     );
+
+    // Matrix walk: 64+ overlapping steps whose widths vary below the
+    // reserved ring. The first advance registers the matrix counters.
+    let a = random_alignment(160, 24, 11);
+    let mut m = RegionMatrix::new();
+    let mut t = MatrixBuildTiming::default();
+    m.reserve(40);
+    m.advance(&a, 0, 30, &mut t);
+    let before = ALLOCS.load(Ordering::SeqCst);
+    let mut reused = 0;
+    for lo in 1..=100 {
+        reused += m.advance(&a, lo, lo + 30 + lo % 11, &mut t).reused_cells;
+    }
+    let after = ALLOCS.load(Ordering::SeqCst);
+    assert!(reused > 0, "the walk must reuse cells");
+    black_box(m.sum(0, m.width() - 1));
+    assert_eq!(after - before, 0, "matrix walk allocated {} time(s)", after - before);
 }
