@@ -5,8 +5,8 @@
 //! 1. **Lexical** — the token-tree traversal inherited from the v1
 //!    walker (same `#[cfg(test)]` skip semantics, same adjacency
 //!    windows), dispatching to each rule's [`Rule::at_token`] hook.
-//!    The five ported v1 rules live entirely here; the parity test
-//!    pins them byte-identical to [`crate::legacy`].
+//!    The five ported v1 rules live entirely here;
+//!    `tests/ported_golden.rs` pins their findings.
 //! 2. **Function-level** — [`crate::scopes::ItemTree`] finds the
 //!    non-test function bodies, [`crate::dataflow::FnAnalysis`]
 //!    linearizes each into an event stream, and every rule's

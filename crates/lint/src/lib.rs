@@ -65,7 +65,6 @@ use syn::{Delimiter, Group, TokenTree};
 
 pub mod dataflow;
 pub mod engine;
-pub mod legacy;
 pub mod rules;
 pub mod scopes;
 
@@ -82,8 +81,8 @@ pub const RULES: &[&str] = &[
     "wal-protocol",
 ];
 
-/// The five v1 rules the engine ported (pinned byte-identical to
-/// [`legacy`] by the parity test).
+/// The five rules the engine ported from the v1 lexical walker (pinned
+/// to frozen expected findings by `tests/ported_golden.rs`).
 pub const PORTED_RULES: &[&str] =
     &["counter-registry", "float-total-order", "no-f64-kernel", "no-panic-lib", "unit-hygiene"];
 
@@ -113,13 +112,6 @@ impl Finding {
     /// waive the other).
     pub fn key(&self) -> String {
         format!("{}:{}:{} {}", self.file, self.line, self.column, self.rule)
-    }
-
-    /// The pre-column (v1) baseline key. Old baselines are accepted
-    /// through this shim; `--write-baseline` rewrites them in the new
-    /// format.
-    pub fn legacy_key(&self) -> String {
-        format!("{}:{} {}", self.file, self.line, self.rule)
     }
 }
 
@@ -319,10 +311,8 @@ pub mod baseline {
 
     use super::Finding;
 
-    /// Parses baseline text (one finding key per line; blank lines and
-    /// `#` comments ignored). Keys may be in the current
-    /// `file:line:column rule` format or the pre-column v1 format —
-    /// [`covers`] accepts both.
+    /// Parses baseline text (one `file:line:column rule` finding key per
+    /// line; blank lines and `#` comments ignored).
     pub fn parse(text: &str) -> HashSet<String> {
         text.lines()
             .map(str::trim)
@@ -331,12 +321,9 @@ pub mod baseline {
             .collect()
     }
 
-    /// Whether the baseline exempts `f`, via its current key or —
-    /// compat shim for pre-column baselines — its v1 key. Regenerating
-    /// with `--write-baseline` emits current-format keys only, which
-    /// is how old baselines migrate.
+    /// Whether the baseline exempts `f`.
     pub fn covers(set: &HashSet<String>, f: &Finding) -> bool {
-        set.contains(&f.key()) || set.contains(&f.legacy_key())
+        set.contains(&f.key())
     }
 
     /// Renders findings as baseline text, sorted.
@@ -582,7 +569,7 @@ mod tests {
     }
 
     #[test]
-    fn baseline_round_trip_and_compat() {
+    fn baseline_round_trip() {
         let keys = vec![
             "crates/a/src/x.rs:10:5 no-panic-lib".to_string(),
             "crates/a/src/b.rs:3:1 float-total-order".to_string(),
@@ -599,15 +586,10 @@ mod tests {
             column: 5,
             message: "m".into(),
         };
-        // Current-format key covers.
         assert!(baseline::covers(&parsed, &f));
-        // Pre-column v1 key also covers (the migration shim).
-        let old = baseline::parse("crates/a/src/x.rs:10 no-panic-lib\n");
-        assert!(baseline::covers(&old, &f));
-        // A different column on the same line does NOT collide anymore.
+        // A different column on the same line does not collide.
         let other_col = Finding { column: 30, ..f.clone() };
         assert!(!baseline::covers(&parsed, &other_col));
-        assert!(baseline::covers(&old, &other_col), "v1 keys keep their line granularity");
     }
 
     #[test]
@@ -620,7 +602,6 @@ mod tests {
             message: "m".into(),
         };
         assert_eq!(f.key(), "crates/genome/src/ms.rs:7:9 no-panic-lib");
-        assert_eq!(f.legacy_key(), "crates/genome/src/ms.rs:7 no-panic-lib");
         assert_eq!(f.to_string(), "crates/genome/src/ms.rs:7:9: no-panic-lib: m");
     }
 

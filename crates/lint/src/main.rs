@@ -11,8 +11,7 @@
 //!   CI invocation documents its intent;
 //! * `--no-baseline` — report and fail on baselined findings too;
 //! * `--write-baseline` — rewrite `crates/lint/baseline.txt` from the
-//!   current findings (in the current `file:line:column rule` key
-//!   format — how pre-column baselines migrate) and exit 0;
+//!   current findings (`file:line:column rule` keys) and exit 0;
 //! * `--format text|json|github` — output format: human text (default),
 //!   a JSON findings array, or GitHub Actions annotations;
 //! * `--root <path>` — repo root (default: two levels above this

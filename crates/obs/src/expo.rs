@@ -1,5 +1,5 @@
 //! Prometheus-style text exposition rendered from the metrics registry,
-//! plus a strict line parser used by tests and the `loadgen --trace-audit`
+//! plus a strict line parser used by tests and the `loadgen serve`
 //! gate to prove the output is scrapeable.
 //!
 //! Naming rules (documented in DESIGN.md):

@@ -580,6 +580,33 @@ mod tests {
         };
         assert!(overflow.well_formed().is_err());
 
+        let span = |id, parent| SpanRecord {
+            id,
+            parent,
+            name: "s",
+            start_ns: 0,
+            dur_ns: 1,
+            modelled: false,
+        };
+        let duplicate = CompletedTrace {
+            trace_id: 4,
+            root: root.clone(),
+            spans: vec![span(2, 1), span(2, 1)],
+            attrs: vec![],
+        };
+        let err = duplicate.well_formed().expect_err("duplicate span id");
+        assert!(err.contains("duplicate span id 2"), "{err}");
+
+        // 2 -> 3 -> 2 never reaches the root.
+        let cycle = CompletedTrace {
+            trace_id: 5,
+            root: root.clone(),
+            spans: vec![span(2, 3), span(3, 2)],
+            attrs: vec![],
+        };
+        let err = cycle.well_formed().expect_err("parent cycle");
+        assert!(err.contains("cycles"), "{err}");
+
         // The same overflow as modelled time is fine.
         let modelled = CompletedTrace {
             trace_id: 3,
